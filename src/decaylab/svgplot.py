@@ -7,11 +7,9 @@ bytes.
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 from xml.sax.saxutils import escape
 
-__all__ = ["line_plot_svg", "emit_plot"]
+__all__ = ["line_plot_svg"]
 
 _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 70, 24, 40, 56
@@ -95,17 +93,3 @@ def line_plot_svg(series: dict[str, list[tuple[float, float]]], *, title: str, x
     parts.append("</svg>")
     return "\n".join(parts)
 
-
-def emit_plot(path: str, series: dict[str, list[tuple[float, float]]], *, title: str, xlabel: str, ylabel: str, logy: bool = False) -> None:
-    """Write the plot atomically."""
-    text = line_plot_svg(series, title=title, xlabel=xlabel, ylabel=ylabel, logy=logy)
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise

@@ -5,8 +5,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from decaylab.cli import main
-from decaylab.svgplot import emit_plot, line_plot_svg
+from decaylab.cli import emit_plot, main
+from decaylab.svgplot import line_plot_svg
 
 FAST_SOLVE = [
     "--n", "128", "--L", "15", "--dt", "0.025", "--T", "0.1", "--tol", "0.01",

@@ -4,6 +4,10 @@ import pytest
 
 from decaylab.grid import Grid
 from decaylab.symbol import (
+    _blend,
+    _blend_slope,
+    _dir_profile,
+    _dir_slope,
     ConjugationSchedule,
     LambdaParams,
     Lambda,
@@ -185,7 +189,7 @@ def test_transport_1d_exact_branch():
     assert rep["violations"] == 0
     assert rep["directions_total"] == 1
     assert not rep["capped"]
-    assert rep["rate_floor"] == pytest.approx(1.0, rel=5e-2)
+    assert rep["rate_floor"] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_transport_2d_small_lattice():
@@ -195,15 +199,53 @@ def test_transport_2d_small_lattice():
     assert rep["pass"]
     assert rep["violations"] == 0
     # the plateau margin is exactly zero, so the observed worst sits at
-    # finite-difference noise level just below it
-    assert rep["worst_margin"] > -1e-6
+    # roundoff of the rate M <x>^(1/s-1) just below it
+    assert rep["worst_margin"] > -1e-12
 
 
 def test_transport_margin_doubles_with_m():
     g = Grid(dim=2, n=16, L=4.0)
     r1 = transport_sign_check(g, LambdaParams(M=1.0, h=2.0, s=1.8, sigma=0.5))
     r2 = transport_sign_check(g, LambdaParams(M=2.0, h=2.0, s=1.8, sigma=0.5))
-    assert r2["rate_floor"] == pytest.approx(2.0 * r1["rate_floor"], rel=5e-2)
+    assert r2["rate_floor"] == pytest.approx(2.0 * r1["rate_floor"], rel=1e-12)
+
+
+def test_blend_slope_matches_central_difference():
+    # the closed-form slope against a central difference of the blend
+    # along omega, with <x> recomputed at x +- e omega; the O(e^2)
+    # truncation at e = 1e-4 is near 1e-8
+    p = LambdaParams(M=1.0, h=2.0, s=1.8, sigma=0.5)
+    w = np.array([0.6, 0.8])
+    perp = np.array([-0.8, 0.6])
+    ys = np.array([0.0, 0.7, -1.5, 2.0, -3.0, 5.0, 8.0, -12.0, 20.0])
+    rs = np.array([0.0, 0.3, 1.0, 2.5, 6.0])
+    Y, R = np.meshgrid(ys, rs, indexing="ij")
+    x = Y.ravel()[:, None] * w + R.ravel()[:, None] * perp
+
+    def geometry(pts):
+        y = pts @ w
+        xnorm2 = np.sum(pts * pts, axis=-1)
+        return y, np.maximum(xnorm2 - y * y, 0.0), np.sqrt(1.0 + xnorm2)
+
+    y, rho_sq, bx = geometry(x)
+    u = np.abs(y) / bx
+    assert np.any(u <= 0.5) and np.any((u > 0.6) & (u < 0.9)) and np.any(u > 0.99)
+    e = 1e-4
+    fd = (_blend(*geometry(x + e * w), p, 24) - _blend(*geometry(x - e * w), p, 24)) / (2.0 * e)
+    exact = _blend_slope(y, rho_sq, bx, p, 24)
+    assert np.max(np.abs(exact - fd)) <= 1e-7
+    # on the plateau the slope is exactly the rate -M <x>^(1/s-1)
+    plateau = u <= 0.5
+    rate = (1.0 + rho_sq + y * y) ** (0.5 * (1.0 / p.s - 1.0))
+    assert np.all(exact[plateau] == -rate[plateau])
+
+    # the glue derivative against a central difference of the profile,
+    # exactly zero off the band 1/2 < |u| < 1
+    uu = np.linspace(-1.2, 1.2, 241)
+    fd_glue = (_dir_profile(uu + 1e-5) - _dir_profile(uu - 1e-5)) / 2e-5
+    assert np.max(np.abs(_dir_slope(uu) - fd_glue)) <= 1e-7
+    off = (np.abs(uu) <= 0.5) | (np.abs(uu) >= 1.0)
+    assert np.all(_dir_slope(uu)[off] == 0.0)
 
 
 def test_gevrey_constant_insensitive_to_gate_threshold():
