@@ -31,7 +31,9 @@ import numpy as np
 
 from .grid import Grid, StateVector, apply_multiplier, sample
 from .gsnorm import GsIndices, gs_norm_ex
-from .pdo import DenseOp, assemble_dense, hermitian_min_eig, inverse, power_iteration_norm
+from .pdo import DenseOp, WeightPair, assemble_dense, hermitian_min_eig
+# bench/tracing.py patches these two here, so they stay imported though unused
+from .pdo import inverse, power_iteration_norm  # noqa: F401
 from .symbol import ConjugationSchedule, LambdaParams, lambda_on_grid
 
 __all__ = [
@@ -39,8 +41,7 @@ __all__ = [
     "EnergyTrace",
     "SolveResult",
     "ConjugatedResult",
-    "assemble_generator",
-    "step_crank_nicolson",
+    "ConjugatedGenerator",
     "solve",
     "solve_conjugated",
     "gronwall_check",
@@ -194,20 +195,13 @@ class _GeneratorPieces:
         return mat
 
 
-def assemble_generator(problem: Problem, grid: Grid, t: float) -> DenseOp:
-    """Dense generator i Lap - sum_j a_j d_j - b at one time."""
-    return DenseOp(grid, _GeneratorPieces(problem, grid).dense(t), "composite")
-
-
-def step_crank_nicolson(u: StateVector, g_now: DenseOp, g_next: DenseOp, dt: float, f_mid: np.ndarray | None = None) -> StateVector:
-    """One dense Crank-Nicolson step from t to t + dt."""
-    n = u.grid.node_count
-    eye = np.eye(n, dtype=np.complex128)
-    rhs = (eye + 0.5 * dt * g_now.matrix) @ u.values.ravel()
-    if f_mid is not None:
-        rhs = rhs + dt * np.asarray(f_mid, dtype=np.complex128).ravel()
-    out = np.linalg.solve(eye - 0.5 * dt * g_next.matrix, rhs)
-    return StateVector(u.grid, out.reshape(u.grid.shape))
+def _cn_step(eye: np.ndarray, g_now: np.ndarray, g_next: np.ndarray, dt: float, vals: np.ndarray, src: np.ndarray | None) -> np.ndarray:
+    """One dense Crank-Nicolson step on flattened values; src is the source
+    at the midpoint."""
+    rhs = (eye + 0.5 * dt * g_now) @ vals
+    if src is not None:
+        rhs = rhs + dt * src
+    return np.linalg.solve(eye - 0.5 * dt * g_next, rhs)
 
 
 def _gmres(apply_a, b: np.ndarray, x0: np.ndarray, *, tol: float = 1e-12, restart: int = 60, max_restarts: int = 25) -> tuple[np.ndarray, bool]:
@@ -302,10 +296,8 @@ def solve(problem: Problem, grid: Grid, dt: float, *, indices: Sequence[GsIndice
         fmid = pieces.coeff("f", t + 0.5 * dt)
         if method == "dense":
             g_next_dense = pieces.dense(t_next)
-            rhs = (eye + 0.5 * dt * g_now_dense) @ u.values.ravel()
-            if fmid is not None:
-                rhs = rhs + dt * fmid.ravel()
-            vals = np.linalg.solve(eye - 0.5 * dt * g_next_dense, rhs)
+            src = None if fmid is None else fmid.ravel()
+            vals = _cn_step(eye, g_now_dense, g_next_dense, dt, u.values.ravel(), src)
             u = StateVector(grid, vals.reshape(grid.shape))
             g_now_dense = g_next_dense
         else:
@@ -363,6 +355,34 @@ class ConjugatedResult:
     report: dict
 
 
+class ConjugatedGenerator:
+    """G_v(t) of the weighted unknown v = E(t) u (module docstring) for one
+    weight pair and schedule, with w = <x>_h^(1-sigma).  E0 and its inverse
+    are held for the run; E0 must pass the conditioning cap."""
+
+    def __init__(self, problem: Problem, pair: WeightPair, params: LambdaParams, schedule: ConjugationSchedule, *, cond_cap: float = 1e12):
+        self.pieces = _GeneratorPieces(problem, pair.grid)
+        self.e0 = pair.e0.matrix
+        self.e0inv = pair.inverse(cond_cap=cond_cap).matrix
+        self.schedule = schedule
+        self.w = (np.sqrt(params.h**2 + pair.grid.x_norm**2) ** (1.0 - params.sigma)).ravel()
+
+    def at(self, t: float) -> np.ndarray:
+        """G_v(t) as a dense matrix."""
+        core = self.e0 @ self.pieces.dense(t) @ self.e0inv
+        s_fac = np.exp(self.schedule.k(t) * (self.w[:, None] - self.w[None, :]))
+        return s_fac * core + np.diag(self.schedule.kprime(t) * self.w)
+
+    def weight(self, t: float) -> np.ndarray:
+        """e^(k(t) w) per node: the diagonal factor of E(t)."""
+        return np.exp(self.schedule.k(t) * self.w)
+
+    def min_eig(self, gv: np.ndarray) -> float:
+        """Smallest eigenvalue of the Hermitian part of i Lap - gv."""
+        lap, _ = self.pieces._dense_blocks()
+        return hermitian_min_eig(DenseOp(self.pieces.grid, 1j * lap - gv, "composite"))
+
+
 def solve_conjugated(problem: Problem, grid: Grid, dt: float, params: LambdaParams, schedule: ConjugationSchedule, *, indices: Sequence[GsIndices] = (), eig_stride: int = 0, sample_every: int | None = None, remainder_cap: float = 1.0, cond_cap: float = 1e12, nnode: int = 24, seed: int = 0) -> ConjugatedResult:
     """Integrate the weighted unknown v = E(t) u and undo the weight.
 
@@ -372,38 +392,23 @@ def solve_conjugated(problem: Problem, grid: Grid, dt: float, params: LambdaPara
     and E0 passes the conditioning cap.  With eig_stride > 0, the smallest
     eigenvalue of the Hermitian part of i Lap - G_v is recorded every that
     many steps; its uniform lower bound is the discrete form of the energy
-    inequality the weight is designed to produce.
+    inequality the weight is designed to produce.  The edge fraction of v
+    is recorded at every sample; unlike solve, this route never aborts.
     """
     if abs(schedule.T - problem.T) > 1e-12:
         raise ValueError("schedule horizon differs from problem horizon")
-    pieces = _GeneratorPieces(problem, grid)
     nsteps = _steps_for(problem.T, dt)
     stride = sample_every if sample_every is not None else max(1, nsteps // 50)
 
-    field = lambda_on_grid(grid, params, nnode=nnode)
-    e0 = assemble_dense(grid, "kn", np.exp(field))
-    r0 = assemble_dense(grid, "reverse", np.exp(-field))
-    eyeN = np.eye(grid.node_count, dtype=np.complex128)
-    rem = power_iteration_norm(e0.matrix @ r0.matrix - eyeN, seed=seed)
+    pair = WeightPair(grid, lambda_on_grid(grid, params, nnode=nnode))
+    rem = pair.remainder_norm(seed=seed)
     if not (rem < remainder_cap):
         raise ValueError(f"weight quantization remainder {rem:.3e} is not below {remainder_cap}")
-    e0inv = inverse(e0, cond_cap=cond_cap).matrix
-
-    w = np.sqrt(params.h**2 + grid.x_norm**2) ** (1.0 - params.sigma)
-    wflat = w.ravel()
-    lap_dense = assemble_dense(grid, "multiplier", (-(grid.xi_norm**2)).astype(np.complex128)).matrix
-
-    def conj_gen(t: float) -> np.ndarray:
-        core = e0.matrix @ pieces.dense(t) @ e0inv
-        kt = schedule.k(t)
-        s_fac = np.exp(kt * (wflat[:, None] - wflat[None, :]))
-        return s_fac * core + np.diag(schedule.kprime(t) * wflat)
-
-    def weight_vec(t: float) -> np.ndarray:
-        return np.exp(schedule.k(t) * wflat)
+    gen = ConjugatedGenerator(problem, pair, params, schedule, cond_cap=cond_cap)
+    eye = np.eye(grid.node_count, dtype=np.complex128)
 
     gvals = sample(grid, problem.g).values.ravel()
-    vflat = weight_vec(0.0) * (e0.matrix @ gvals)
+    vflat = gen.weight(0.0) * (gen.e0 @ gvals)
     v = StateVector(grid, vflat.reshape(grid.shape))
 
     labels = tuple(idx.label() for idx in indices)
@@ -412,33 +417,26 @@ def solve_conjugated(problem: Problem, grid: Grid, dt: float, params: LambdaPara
     trace.add(0.0, _trace_values(v, indices), frac0)
 
     eig_samples: list[dict] = []
-
-    def record_eig(t: float, gv: np.ndarray) -> None:
-        op = DenseOp(grid, 1j * lap_dense - gv, "composite")
-        eig_samples.append({"t": t, "min_eig": hermitian_min_eig(op)})
-
-    g_now = conj_gen(0.0)
+    g_now = gen.at(0.0)
     if eig_stride > 0:
-        record_eig(0.0, g_now)
+        eig_samples.append({"t": 0.0, "min_eig": gen.min_eig(g_now)})
 
     t = 0.0
     for k in range(nsteps):
         t_next = (k + 1) * dt
-        g_next = conj_gen(t_next)
-        rhs = (eyeN + 0.5 * dt * g_now) @ v.values.ravel()
-        fmid = pieces.coeff("f", t + 0.5 * dt)
-        if fmid is not None:
-            rhs = rhs + dt * (weight_vec(t + 0.5 * dt) * (e0.matrix @ fmid.ravel()))
-        vflat = np.linalg.solve(eyeN - 0.5 * dt * g_next, rhs)
+        g_next = gen.at(t_next)
+        fmid = gen.pieces.coeff("f", t + 0.5 * dt)
+        src = None if fmid is None else gen.weight(t + 0.5 * dt) * (gen.e0 @ fmid.ravel())
+        vflat = _cn_step(eye, g_now, g_next, dt, v.values.ravel(), src)
         v = StateVector(grid, vflat.reshape(grid.shape))
         t = t_next
         if eig_stride > 0 and ((k + 1) % eig_stride == 0 or k + 1 == nsteps):
-            record_eig(t, g_next)
+            eig_samples.append({"t": t, "min_eig": gen.min_eig(g_next)})
         if (k + 1) % stride == 0 or k + 1 == nsteps:
             trace.add(t, _trace_values(v, indices), _edge_fraction(v.values))
         g_now = g_next
 
-    uflat = e0inv @ (vflat / weight_vec(problem.T))
+    uflat = gen.e0inv @ (vflat / gen.weight(problem.T))
     u = StateVector(grid, uflat.reshape(grid.shape))
     report = {
         "n": grid.n,

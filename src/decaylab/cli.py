@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .cauchy import (
-    Problem,
+    ConjugatedGenerator,
     estimate_loss_delta,
     gronwall_check,
     solve,
@@ -28,7 +28,9 @@ from .cauchy import (
 from .examples import _family, example1, example2, example3, hypothesis_check, residual_check
 from .grid import Grid, StateVector, sample
 from .gsnorm import GsIndices, norm_box_sweep
-from .pdo import DenseOp, assemble_dense, conjugation_remainder_check, hermitian_min_eig, inverse
+from .pdo import WeightPair, conjugation_remainder_check
+# bench/tracing.py patches these three here, so they stay imported though unused
+from .pdo import assemble_dense, hermitian_min_eig, inverse  # noqa: F401
 from .svgplot import line_plot_svg
 from .symbol import ConjugationSchedule, LambdaParams, c_of_lambda, lambda_on_grid, lambda_sym, transport_sign_check
 
@@ -277,21 +279,12 @@ def _cmd_conjugation_check(args, out: Path) -> dict:
     sched = _schedule(args.M, args.N, args.T, args.k0)
     ep = example1(args.sigma, args.s, T=args.T)
     grid = Grid(dim=1, n=args.n, L=args.L)
-    lap_dense = assemble_dense(grid, "multiplier", (-(grid.xi_norm**2)).astype(np.complex128)).matrix
-    from .cauchy import _GeneratorPieces
-
-    pieces = _GeneratorPieces(ep.problem, grid)
 
     def min_eig_for(h: float) -> float:
         params = LambdaParams(M=args.M, h=h, s=args.s, sigma=args.sigma)
-        field = lambda_on_grid(grid, params)
-        e0 = assemble_dense(grid, "kn", np.exp(field))
-        e0inv = inverse(e0, cond_cap=1e14).matrix
-        w = (np.sqrt(h**2 + grid.x_norm**2) ** (1.0 - args.sigma)).ravel()
-        kt = sched.k(args.t)
-        core = e0.matrix @ pieces.dense(args.t) @ e0inv
-        gv = np.exp(kt * (w[:, None] - w[None, :])) * core + np.diag(sched.kprime(args.t) * w)
-        return hermitian_min_eig(DenseOp(grid, 1j * lap_dense - gv, "composite"))
+        pair = WeightPair(grid, lambda_on_grid(grid, params))
+        gen = ConjugatedGenerator(ep.problem, pair, params, sched, cond_cap=1e14)
+        return gen.min_eig(gen.at(args.t))
 
     with ThreadPoolExecutor(max_workers=max(1, args.threads)) as ex:
         eigs = list(ex.map(min_eig_for, hs))

@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "Grid",
     "StateVector",
-    "make_grid",
     "forward_dft",
     "inverse_dft",
     "apply_multiplier",
@@ -171,16 +170,6 @@ class StateVector:
         return float(
             np.sqrt(np.sum(np.abs(self.values) ** 2)) * self.grid.dx ** (self.grid.dim / 2.0)
         )
-
-
-def make_grid(dim: int, n: int, L: float) -> Grid:
-    """Build a validated grid.
-
-    >>> g = make_grid(1, 8, 4.0)
-    >>> g.dx
-    1.0
-    """
-    return Grid(dim=int(dim), n=int(n), L=float(L))
 
 
 def sample(grid: Grid, f: Callable[..., np.ndarray]) -> StateVector:

@@ -22,18 +22,14 @@ from .grid import Grid, StateVector, forward_dft, inverse_dft
 
 __all__ = [
     "DenseOp",
-    "ConjugationResult",
+    "WeightPair",
     "kn_apply",
     "rev_apply",
     "assemble_dense",
-    "compose",
     "adjoint",
     "inverse",
-    "frequency_matrix",
     "power_iteration_norm",
-    "spectral_radius_proxy",
     "conjugation_remainder_check",
-    "conjugate_generator",
     "hermitian_min_eig",
 ]
 
@@ -161,12 +157,6 @@ def assemble_dense(grid: Grid, kind: str, sym: np.ndarray) -> DenseOp:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def compose(a: DenseOp, b: DenseOp) -> DenseOp:
-    if not a.grid.same_layout(b.grid):
-        raise ValueError("operands live on different grids")
-    return DenseOp(a.grid, a.matrix @ b.matrix, "composite")
-
-
 def adjoint(a: DenseOp) -> DenseOp:
     return DenseOp(a.grid, a.matrix.conj().T, "composite")
 
@@ -177,16 +167,6 @@ def inverse(a: DenseOp, *, cond_cap: float = 1e12) -> DenseOp:
         raise ValueError(f"condition number {c:.3e} exceeds cap {cond_cap:.1e}")
     inv = np.linalg.solve(a.matrix, np.eye(a.matrix.shape[0], dtype=np.complex128))
     return DenseOp(a.grid, inv, "composite")
-
-
-def frequency_matrix(op: DenseOp) -> np.ndarray:
-    """The operator expressed in the frequency basis; diagonal for
-    multipliers up to roundoff."""
-    xf, xif = _flat_coords(op.grid)
-    W = np.exp(1j * (xf @ xif.T))
-    V = np.exp(-1j * (xif @ xf.T)) * op.grid.dx**op.grid.dim
-    scale = (op.grid.dxi / (2.0 * np.pi)) ** op.grid.dim
-    return (V @ op.matrix @ W) * scale
 
 
 def power_iteration_norm(mat: np.ndarray, *, iters: int = 20, tol: float = 1e-6, seed: int = 0) -> float:
@@ -212,32 +192,38 @@ def power_iteration_norm(mat: np.ndarray, *, iters: int = 20, tol: float = 1e-6,
     return sig
 
 
-def spectral_radius_proxy(mat: np.ndarray, *, iters: int = 30, seed: int = 0) -> float:
-    """Dominant-eigenvalue magnitude estimate by plain power iteration.
-    A proxy only: complex spectra make it oscillate, which is acceptable
-    for the coarse smallness checks it supports."""
-    rng = np.random.default_rng(seed)
-    n = mat.shape[0]
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    rho = 0.0
-    for _ in range(iters):
-        w = mat @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0:
-            return 0.0
-        rho = nw
-        v = w / nw
-    return rho
+class WeightPair:
+    """The two quantizations of the phase weight: E0 = KN(e^lam), kept,
+    and R0 = REV(e^-lam), built only to measure the remainder E0 R0 - I.
+
+    While that remainder has norm below one, R0 is an approximate inverse
+    of E0 and conjugating by E0 is well posed.  field is lam on
+    grid.shape + grid.shape, as lambda_on_grid returns it.
+    """
+
+    def __init__(self, grid: Grid, field: np.ndarray):
+        self.grid = grid
+        self.field = field
+        self.e0 = assemble_dense(grid, "kn", np.exp(field))
+
+    def remainder_norm(self, *, seed: int = 0) -> float:
+        """Power-iteration estimate of ||E0 R0 - I||; R0 is not kept."""
+        r0 = assemble_dense(self.grid, "reverse", np.exp(-self.field))
+        r1 = self.e0.matrix @ r0.matrix - np.eye(self.grid.node_count)
+        del r0
+        return power_iteration_norm(r1, seed=seed)
+
+    def inverse(self, *, cond_cap: float = 1e12) -> DenseOp:
+        return inverse(self.e0, cond_cap=cond_cap)
 
 
 def conjugation_remainder_check(hs, *, n: int, L: float, M: float, s: float, sigma: float, dim: int = 1, critical: bool = False, nnode: int = 24, seed: int = 0) -> dict:
     """Measure how far the two quantizations of the phase weight are from
     being mutually inverse, as the activation threshold h grows.
 
-    For each h, r1 = KN(e^lam) REV(e^-lam) - I is formed and its spectral
-    norm estimated.  Larger h freezes the weight on more of the frequency
-    grid, so the norms should decrease; the empirical threshold h0 is the
+    For each h, the spectral norm of r1 = KN(e^lam) REV(e^-lam) - I is
+    estimated.  Larger h freezes the weight on more of the frequency grid,
+    so the norms should decrease; the empirical threshold h0 is the
     smallest h in the sweep with norm < 1.
     """
     from .symbol import LambdaParams, lambda_on_grid
@@ -248,54 +234,11 @@ def conjugation_remainder_check(hs, *, n: int, L: float, M: float, s: float, sig
     h0 = None
     for h in hs:
         params = LambdaParams(M=M, h=float(h), s=s, sigma=sigma, critical=critical)
-        field = lambda_on_grid(g, params, nnode=nnode)
-        E = assemble_dense(g, "kn", np.exp(field))
-        R = assemble_dense(g, "reverse", np.exp(-field))
-        r1 = E.matrix @ R.matrix - np.eye(g.node_count)
-        nrm = power_iteration_norm(r1, seed=seed)
-        proxy = spectral_radius_proxy(r1, seed=seed)
-        rows.append({"h": float(h), "norm_r1": nrm, "spectral_proxy": proxy, "n": n})
+        nrm = WeightPair(g, lambda_on_grid(g, params, nnode=nnode)).remainder_norm(seed=seed)
+        rows.append({"h": float(h), "norm_r1": nrm, "n": n})
         if h0 is None and nrm < 1.0:
             h0 = float(h)
     return {"rows": rows, "h0": h0, "n": n, "L": L, "dim": dim}
-
-
-@dataclass(frozen=True)
-class ConjugationResult:
-    conjugated: DenseOp
-    remainder_norm: float
-    correction: DenseOp | None
-
-
-def conjugate_generator(op: DenseOp, lam_field: np.ndarray, *, poisson: tuple | None = None, remainder_cap: float = 1.0, cond_cap: float = 1e12, seed: int = 0) -> ConjugationResult:
-    """Explicitly conjugate a dense generator by the phase weight e^lam.
-
-    Refuses to proceed unless the quantization remainder
-    KN(e^lam) REV(e^-lam) - I has estimated norm below remainder_cap, then
-    returns E op E^-1 with E = KN(e^lam).  When poisson supplies the
-    per-axis symbol gradients (dp_dxi, dp_dx, dlam_dxi, dlam_dx), the
-    analytic leading correction i {p, lam} is assembled alongside; for an
-    x-only weight and a frequency-only symbol the conjugated operator
-    minus (op + correction) is one bracket order smaller than the
-    correction itself.
-    """
-    g = op.grid
-    E = assemble_dense(g, "kn", np.exp(lam_field))
-    R = assemble_dense(g, "reverse", np.exp(-lam_field))
-    r1 = E.matrix @ R.matrix - np.eye(g.node_count)
-    rnorm = power_iteration_norm(r1, seed=seed)
-    if not (rnorm < remainder_cap):
-        raise ValueError(f"quantization remainder {rnorm:.3e} is not below {remainder_cap}")
-    Einv = inverse(E, cond_cap=cond_cap)
-    conj = DenseOp(g, E.matrix @ op.matrix @ Einv.matrix, "composite")
-    corr = None
-    if poisson is not None:
-        dp_dxi, dp_dx, dlam_dxi, dlam_dx = poisson
-        q = np.zeros(g.shape + g.shape, dtype=np.complex128)
-        for j in range(g.dim):
-            q = q + dp_dxi[j] * dlam_dx[j] - dp_dx[j] * dlam_dxi[j]
-        corr = assemble_dense(g, "kn", 1j * q)
-    return ConjugationResult(conjugated=conj, remainder_norm=rnorm, correction=corr)
 
 
 def hermitian_min_eig(op: DenseOp, *, max_nodes: int = 2048) -> float:

@@ -32,10 +32,7 @@ __all__ = [
     "ConjugationSchedule",
     "smooth_cutoff",
     "lambda1",
-    "lambda2",
-    "tilde_chi",
     "lambda_sym",
-    "Lambda",
     "lambda_on_grid",
     "c_of_lambda",
     "transport_sign_check",
@@ -159,7 +156,8 @@ def smooth_cutoff(r, lo: float, hi: float):
 
 
 def _dir_profile(u) -> np.ndarray:
-    # plateau |u| <= 1/2, vanishes for |u| >= 1
+    # direction blend chi at u = x . omega / <x>: plateau |u| <= 1/2,
+    # vanishes for |u| >= 1
     return smooth_cutoff(u, 0.5, 1.0)
 
 
@@ -264,27 +262,9 @@ def lambda1(x, xi, params: LambdaParams, *, dim=None, nnode: int = 24):
     return float(out[0]) if scalar else out
 
 
-def lambda2(x, xi, params: LambdaParams, *, dim=None, nnode: int = 24):
-    """Same profile evaluated with the transverse offset dropped:
-    F(x . omega, 0).  Coincides with lambda1 in one dimension."""
-    x, xi, _, scalar = _as_points(x, xi, dim)
-    y, _, _ = _geometry(x, xi)
-    out = params.M * _profile_integral(y, np.zeros_like(y), params.s, nnode)
-    return float(out[0]) if scalar else out
-
-
-def tilde_chi(x, omega, *, dim=None):
-    """Direction blend: 1 where |x . omega| <= <x>/2, 0 where
-    |x . omega| >= <x> (plain bracket), smooth in between."""
-    x, omega, _, scalar = _as_points(x, omega, dim)
-    y = np.sum(x * omega, axis=-1)
-    bx = np.sqrt(1.0 + np.sum(x * x, axis=-1))
-    out = _dir_profile(y / bx)
-    return float(out[0]) if scalar else out
-
-
 def _blend(y, rho_sq, bx, params: LambdaParams, nnode: int) -> np.ndarray:
-    """-(lambda1 * chi + lambda2 * (1 - chi)) given the direction geometry."""
+    """-(lambda1 * chi + lambda2 * (1 - chi)) given the direction geometry;
+    lambda2 = M F(y, 0) is the profile with the transverse offset dropped."""
     lam1 = params.M * _profile_integral(y, rho_sq, params.s, nnode)
     lam2 = params.M * _profile_integral(y, np.zeros_like(y), params.s, nnode)
     ct = _dir_profile(y / bx)
@@ -333,17 +313,6 @@ def lambda_sym(x, xi, params: LambdaParams, *, dim=None, nnode: int = 24):
         y, rho_sq, _ = _geometry(xa, xia)
         bx = np.sqrt(1.0 + np.sum(xa * xa, axis=-1))
         out[act] = gate[act] * _blend(y, rho_sq, bx, params, nnode)
-    return float(out[0]) if scalar else out
-
-
-def Lambda(t, x, xi, params: LambdaParams, schedule: ConjugationSchedule, *, dim=None, nnode: int = 24):
-    """Total weight exponent k(t) <x>_h^(1-sigma) + lambda_sym(x, xi).
-
-    t is a scalar in [0, T]."""
-    kt = schedule.k(float(t))
-    x, xi, d, scalar = _as_points(x, xi, dim)
-    bxh = np.sqrt(params.h**2 + np.sum(x * x, axis=-1))
-    out = kt * bxh ** (1.0 - params.sigma) + lambda_sym(x, xi, params, dim=d, nnode=nnode)
     return float(out[0]) if scalar else out
 
 

@@ -4,9 +4,9 @@ import pytest
 
 from decaylab.cauchy import (
     Problem,
+    ConjugatedGenerator,
     EnergyTrace,
-    assemble_generator,
-    step_crank_nicolson,
+    _GeneratorPieces,
     solve,
     solve_conjugated,
     gronwall_check,
@@ -15,7 +15,7 @@ from decaylab.cauchy import (
 from decaylab.examples import example1, example2, _family
 from decaylab.grid import Grid, StateVector, forward_dft, inverse_dft, sample
 from decaylab.gsnorm import GsIndices
-from decaylab.pdo import assemble_dense, hermitian_min_eig
+from decaylab.pdo import DenseOp, WeightPair, assemble_dense, hermitian_min_eig
 from decaylab.symbol import ConjugationSchedule, LambdaParams
 
 
@@ -55,9 +55,9 @@ def test_energy_trace_bookkeeping():
 
 def test_generator_free_case_is_laplacian():
     g = Grid(dim=1, n=32, L=6.0)
-    gen = assemble_generator(_free_problem(), g, 0.0)
+    gen = _GeneratorPieces(_free_problem(), g).dense(0.0)
     lap = assemble_dense(g, "multiplier", (-(g.xi**2)).astype(np.complex128)).matrix
-    assert np.max(np.abs(gen.matrix - 1j * lap)) == 0.0
+    assert np.max(np.abs(gen - 1j * lap)) == 0.0
 
 
 def test_generator_zero_order_sign():
@@ -65,7 +65,7 @@ def test_generator_zero_order_sign():
     prob = Problem(dim=1, sigma=0.5, s0=2.0, a=(None,), b=lambda t, x: np.ones_like(x),
                    f=None, g=lambda x: np.exp(-x**2), T=1.0)
     g = Grid(dim=1, n=32, L=6.0)
-    gen = assemble_generator(prob, g, 0.3)
+    gen = DenseOp(g, _GeneratorPieces(prob, g).dense(0.3), "composite")
     assert abs(hermitian_min_eig(gen) + 1.0) <= 1e-12
 
 
@@ -74,21 +74,22 @@ def test_generator_first_order_term():
     prob = Problem(dim=1, sigma=0.5, s0=2.0, a=(lambda t, x: np.ones_like(x),), b=None,
                    f=None, g=lambda x: np.exp(-x**2), T=1.0)
     g = Grid(dim=1, n=32, L=np.pi)
-    gen = assemble_generator(prob, g, 0.0)
+    gen = _GeneratorPieces(prob, g).dense(0.0)
     xi3 = g.xi[np.argmin(np.abs(g.xi - 3.0))]
     u = np.exp(1j * xi3 * g.x)
-    out = gen.matrix @ u
+    out = gen @ u
     want = 1j * (-(xi3**2)) * u - 1j * xi3 * u
     assert np.max(np.abs(out - want)) <= 1e-10
 
 
 def test_cn_step_unitary_for_skew_generator():
+    # one dense step of the shared Crank-Nicolson rule
     g = Grid(dim=1, n=64, L=8.0)
-    prob = _free_problem()
-    gen = assemble_generator(prob, g, 0.0)
+    prob = _free_problem(T=0.05)
     u = sample(g, prob.g)
-    v = step_crank_nicolson(u, gen, gen, 0.05)
-    assert abs(v.l2_norm() - u.l2_norm()) <= 1e-12 * u.l2_norm()
+    res = solve(prob, g, 0.05, method="dense")
+    assert res.report["steps_taken"] == 1
+    assert abs(res.u.l2_norm() - u.l2_norm()) <= 1e-12 * u.l2_norm()
 
 
 def test_solve_free_mass_conservation():
@@ -166,6 +167,24 @@ def test_conjugated_route_with_closed_gate_matches_plain():
     conj = solve_conjugated(ep.problem, g, 0.025, params, sched)
     assert conj.report["remainder_norm"] <= 1e-10
     assert np.max(np.abs(conj.u.values - plain.u.values)) <= 1e-8
+
+
+def test_conjugated_generator_with_closed_gate():
+    # with the gate closed E0 = I, so G_v(t) = S(t) * G(t) + k'(t) diag(w)
+    # and the weight at the origin node is e^(k(t) h^(1-sigma))
+    ep = example1(0.5, 1.8)
+    g = Grid(dim=1, n=32, L=8.0)
+    params = LambdaParams(M=1.0, h=15.0, s=1.8, sigma=0.5)
+    sched = ConjugationSchedule(M=1.0, Nconst=1.0, T=0.5, k0=3.0)
+    gen = ConjugatedGenerator(ep.problem, WeightPair(g, np.zeros(g.shape + g.shape)), params, sched)
+    w = np.sqrt(15.0**2 + g.x**2) ** 0.5
+    t = 0.2
+    plain = _GeneratorPieces(ep.problem, g).dense(t)
+    want = np.exp(sched.k(t) * (w[:, None] - w[None, :])) * plain + np.diag(sched.kprime(t) * w)
+    assert np.max(np.abs(gen.at(t) - want)) <= 1e-12 * np.max(np.abs(want))
+    origin = int(np.argmin(np.abs(g.x)))
+    assert g.x[origin] == 0.0
+    assert gen.weight(t)[origin] == pytest.approx(np.exp(sched.k(t) * 15.0**0.5), rel=1e-14)
 
 
 def test_conjugated_route_horizon_mismatch():

@@ -5,8 +5,12 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from decaylab.cauchy import solve_conjugated
 from decaylab.cli import emit_plot, main
+from decaylab.examples import example1
+from decaylab.grid import Grid
 from decaylab.svgplot import line_plot_svg
+from decaylab.symbol import ConjugationSchedule, LambdaParams
 
 FAST_SOLVE = [
     "--n", "128", "--L", "15", "--dt", "0.025", "--T", "0.1", "--tol", "0.01",
@@ -132,6 +136,22 @@ def test_conjugation_check(tmp_path):
     assert norms[-1] < 1
     assert report["h0"] == 3.0
     assert (out / "conjugation_sweep.csv").is_file()
+
+
+def test_conjugation_check_matches_conjugated_solve(tmp_path):
+    # both conjugated paths build the same weight pair and the same G_v:
+    # the sweep's remainder and its min-eig at t = T must be the solver's
+    # remainder and its last eig sample, bit for bit
+    rc, report, _ = _run(tmp_path, "conjugation-check", "--n", "64", "--h", "3,6")
+    assert rc == 0
+    ep = example1(0.5, 1.8, T=0.5)
+    sched = ConjugationSchedule(k0=2.0 * float(np.expm1(2.0 * 0.5)), Nconst=2.0, T=0.5, M=1.0)
+    for row in report["rows"]:
+        params = LambdaParams(M=1.0, h=row["h"], s=1.8, sigma=0.5)
+        res = solve_conjugated(ep.problem, Grid(dim=1, n=64, L=0.5), 0.025, params, sched, eig_stride=20)
+        assert row["norm_r1"] == res.report["remainder_norm"]
+        assert res.eig_samples[-1]["t"] == 0.5
+        assert row["min_eig"] == res.eig_samples[-1]["min_eig"]
 
 
 def test_energy_plain(tmp_path):

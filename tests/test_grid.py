@@ -11,7 +11,6 @@ from decaylab.grid import (
     forward_dft,
     inverse_dft,
     laplacian,
-    make_grid,
     sample,
     spectral_derivative,
 )
@@ -131,10 +130,6 @@ def test_same_layout():
     c = Grid(dim=1, n=64, L=10.0)
     assert a.same_layout(b)
     assert not a.same_layout(c)
-
-
-def test_make_grid_matches_constructor():
-    assert make_grid(2, 16, 3.0).shape == (16, 16)
 
 
 @settings(max_examples=25, deadline=None)

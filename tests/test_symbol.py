@@ -8,17 +8,15 @@ from decaylab.symbol import (
     _blend_slope,
     _dir_profile,
     _dir_slope,
+    _profile_integral,
     ConjugationSchedule,
     LambdaParams,
-    Lambda,
     c_of_lambda,
     gevrey_bound_check,
     lambda1,
-    lambda2,
     lambda_on_grid,
     lambda_sym,
     smooth_cutoff,
-    tilde_chi,
     transport_sign_check,
 )
 
@@ -64,11 +62,13 @@ def test_smooth_cutoff_exact_tails():
 
 
 def test_tilde_chi_plateau_and_support():
+    # the direction blend is _dir_profile at u = x . omega / <x>
     # x . omega / <x> = 3/sqrt(10) ~ 0.95 -> outside plateau, inside support
-    assert tilde_chi(np.array([3.0]), np.array([1.0]), dim=1) < 1.0
-    assert tilde_chi(np.array([0.2]), np.array([1.0]), dim=1) == 1.0
+    assert 0.0 < _dir_profile(3.0 / np.sqrt(10.0)) < 1.0
+    assert _dir_profile(0.2 / np.sqrt(1.04)) == 1.0
     # 2d: x orthogonal to omega gives u = 0, on the plateau
-    assert tilde_chi(np.array([5.0, 0.0]), np.array([0.0, 1.0])) == 1.0
+    assert _dir_profile(0.0) == 1.0
+    assert _dir_profile(1.0) == 0.0
 
 
 def test_lambda1_1d_frozen_value():
@@ -93,11 +93,15 @@ def test_lambda_linear_in_m():
 
 
 def test_lambda2_matches_lambda1_in_1d():
+    # lambda2 = M F(y, 0) drops the transverse offset, which is zero in 1d
     xs = np.linspace(-8.0, 8.0, 33)
     xis = np.full_like(xs, 4.0)
     a = lambda1(xs, xis, P1, dim=1)
-    b = lambda2(xs, xis, P1, dim=1)
+    b = P1.M * _profile_integral(xs, np.zeros_like(xs), P1.s)
     assert np.max(np.abs(a - b)) == 0.0
+    # so the direction blend reduces to -lambda1
+    blend = _blend(xs, np.zeros_like(xs), np.sqrt(1.0 + xs**2), P1, 24)
+    assert np.max(np.abs(blend + a)) <= 1e-15 * np.max(np.abs(a))
 
 
 def test_quadrature_node_doubling():
@@ -138,14 +142,6 @@ def test_lambda_sym_sign_against_direction():
     inner = np.sum(x * xi, axis=-1)
     assert np.all(v[inner > 0] <= 1e-15)
     assert np.all(v[inner < 0] >= -1e-15)
-
-
-def test_total_weight_at_origin():
-    p = LambdaParams(M=1.0, h=2.0, s=1.8, sigma=0.5)
-    sched = ConjugationSchedule(k0=3.0, Nconst=1.0, T=0.5, M=1.0)
-    for xi in (0.5, 1.0, 2.0):
-        v = Lambda(0.2, 0.0, xi, p, sched, dim=1)
-        assert v == pytest.approx(sched.k(0.2) * 2.0 ** 0.5, rel=1e-14)
 
 
 def test_c_of_lambda_frozen_value():
