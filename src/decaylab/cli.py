@@ -111,7 +111,7 @@ _SOLVE_DEFAULTS = {
     "L": 40.0,
     "dt": 1e-3,
     "T": 0.5,
-    "method": "auto",
+    "method": "krylov",
     "tol": 1e-3,
     "indices": None,
 }
@@ -471,7 +471,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--L", type=float, default=_SOLVE_DEFAULTS["L"])
     sp.add_argument("--dt", type=float, default=_SOLVE_DEFAULTS["dt"])
     sp.add_argument("--T", type=float, default=_SOLVE_DEFAULTS["T"])
-    sp.add_argument("--method", choices=("auto", "dense", "krylov"), default=_SOLVE_DEFAULTS["method"])
+    sp.add_argument("--method", choices=("krylov", "dense"), default=_SOLVE_DEFAULTS["method"])
     sp.add_argument("--tol", type=float, default=_SOLVE_DEFAULTS["tol"])
     sp.add_argument(
         "--indices", default=_SOLVE_DEFAULTS["indices"], help="semicolon-separated m1,m2,rho1,rho2[,s,theta]"
@@ -524,7 +524,7 @@ def _build_parser() -> _Parser:
     ep_.add_argument("--L", type=float, default=20.0)
     ep_.add_argument("--dt", type=float, default=1e-3)
     ep_.add_argument("--T", type=float, default=0.25)
-    ep_.add_argument("--method", choices=("auto", "dense", "krylov"), default="auto")
+    ep_.add_argument("--method", choices=("krylov", "dense"), default="krylov")
     ep_.add_argument("--indices", default=None)
     ep_.add_argument("--conjugated", action="store_true")
     ep_.add_argument("--M", type=float, default=1.0)

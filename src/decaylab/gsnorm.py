@@ -63,15 +63,12 @@ class NormResult:
     """Extended-range norm value.
 
     value is exp(log_value) when representable, inf otherwise; overflow
-    records whether any weight or the value itself left the double range;
-    conditioning is the high-mode amplification times the input's relative
-    spectral tail mass (meaningful when frequency weights act).
+    records whether any weight or the value itself left the double range.
     """
 
     value: float
     log_value: float
     overflow: bool
-    conditioning: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -108,23 +105,6 @@ def _space_bracket(grid: Grid) -> np.ndarray:
 
 def _freq_bracket(grid: Grid) -> np.ndarray:
     return np.sqrt(1.0 + grid.xi_norm**2)
-
-
-def _conditioning(u: StateVector, idx: GsIndices) -> float:
-    if idx.rho1 == 0.0 and idx.m1 == 0.0:
-        return 0.0
-    g = u.grid
-    uhat = np.fft.fftn(u.values)
-    mag = np.abs(uhat)
-    peak = float(mag.max())
-    if peak == 0.0:
-        return 0.0
-    ximax = float(g.xi_norm.max())
-    tail = float(mag[g.xi_norm >= 0.9 * ximax].max()) / peak
-    bmax = np.hypot(1.0, ximax)
-    log_amp = idx.rho1 * bmax ** (1.0 / idx.theta) + idx.m1 * np.log(bmax)
-    amp = np.exp(min(log_amp, _DOUBLE_MAX_LOG))
-    return float(amp * tail)
 
 
 def _pigr_scaled(u: StateVector, idx: GsIndices) -> tuple[np.ndarray, float, bool]:
@@ -197,7 +177,6 @@ def gs_norm_ex(u: StateVector, idx: GsIndices) -> NormResult:
     if u.space != "x":
         raise ValueError("gs_norm_ex expects a spatial state")
     g = u.grid
-    cond = _conditioning(u, idx)
 
     if idx.m1 == 0.0 and idx.rho1 == 0.0:
         # pointwise path: exact in the log domain, no transforms
@@ -212,17 +191,17 @@ def gs_norm_ex(u: StateVector, idx: GsIndices) -> NormResult:
         log_value = 0.5 * log_sq
         value = float(np.exp(log_value)) if log_value <= _DOUBLE_MAX_LOG else np.inf
         overflow = overflow or not np.isfinite(value) and log_value > 0
-        return NormResult(value=value, log_value=float(log_value), overflow=bool(overflow), conditioning=cond)
+        return NormResult(value=value, log_value=float(log_value), overflow=bool(overflow))
 
     vals, log_scale, overflow = _pigr_scaled(u, idx)
     l2 = float(np.sqrt(np.sum(np.abs(vals) ** 2)) * g.dx ** (g.dim / 2.0))
     if l2 == 0.0:
-        return NormResult(0.0, -np.inf, overflow, cond)
+        return NormResult(0.0, -np.inf, overflow)
     log_value = log_scale + np.log(l2)
     value = float(np.exp(log_value)) if log_value <= _DOUBLE_MAX_LOG else np.inf
     if not np.isfinite(value):
         overflow = True
-    return NormResult(value=value, log_value=float(log_value), overflow=bool(overflow), conditioning=cond)
+    return NormResult(value=value, log_value=float(log_value), overflow=bool(overflow))
 
 
 def gs_norm(u: StateVector, idx: GsIndices) -> float:

@@ -7,6 +7,7 @@ from decaylab.cauchy import (
     ConjugatedGenerator,
     EnergyTrace,
     _GeneratorPieces,
+    _gmres,
     solve,
     solve_conjugated,
     gronwall_check,
@@ -95,7 +96,7 @@ def test_cn_step_unitary_for_skew_generator():
 def test_solve_free_mass_conservation():
     g = Grid(dim=1, n=64, L=10.0)
     res = solve(_free_problem(), g, 0.01)
-    assert res.report["method"] == "dense"
+    assert res.report["method"] == "krylov"
     assert not res.report["aborted"]
     u0 = sample(g, _free_problem().g)
     assert abs(res.report["final_l2"] - u0.l2_norm()) <= 1e-10 * u0.l2_norm()
@@ -105,8 +106,27 @@ def test_solve_dt_and_method_validation():
     g = Grid(dim=1, n=32, L=6.0)
     with pytest.raises(ValueError):
         solve(_free_problem(), g, 0.3)
-    with pytest.raises(ValueError):
-        solve(_free_problem(), g, 0.01, method="magic")
+    for bad in ("magic", "auto"):
+        with pytest.raises(ValueError):
+            solve(_free_problem(), g, 0.01, method=bad)
+
+
+def test_gmres_reports_true_residual():
+    rng = np.random.default_rng(0)
+    n = 40
+    a = 4.0 * np.eye(n) + (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    def relres_of(x):
+        return float(np.linalg.norm(b - a @ x) / np.linalg.norm(b))
+
+    x, relres = _gmres(lambda v: a @ v, b, np.zeros(n, dtype=np.complex128))
+    assert relres <= 1e-12
+    assert relres == relres_of(x)
+    # a budget too small to converge still reports the residual it reached
+    x, relres = _gmres(lambda v: a @ v, b, np.zeros(n, dtype=np.complex128), restart=2, max_restarts=1)
+    assert relres > 1e-12
+    assert relres == relres_of(x)
 
 
 def test_cn_order_two_against_spectral_propagator():

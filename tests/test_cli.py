@@ -98,6 +98,12 @@ def test_non_power_of_two_grid_exits_2(tmp_path, capsys):
     assert "power of two" in err["error"]
 
 
+def test_solve_method_auto_exits_2(tmp_path, capsys):
+    rc = main(["--out", str(tmp_path / "o"), "solve", "--example", "1", "--method", "auto"])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().out)["exit_code"] == 2
+
+
 def test_bad_example_id_exits_2(tmp_path, capsys):
     rc = main(["--out", str(tmp_path / "o"), "verify-example", "--id", "4"])
     assert rc == 2
