@@ -19,9 +19,13 @@ only through the diagonal.  The conjugated generator is then
 
     G_v(t) = S(t) * (E0 G(t) E0^-1) + k'(t) diag(w),
 
-with S(t)[i, j] = e^(k(t)(w_i - w_j)) acting entrywise, so each step costs
-two dense multiplications plus the solve.  Energy accounting, a boundary
-contamination monitor, and an empirical decay-loss classifier live here too.
+with S(t)[i, j] = e^(k(t)(w_i - w_j)) acting entrywise: the diagonal
+similarity W M W^-1 with W = diag(e^(k(t) w)).  So the right-hand side
+applies G_v v = W E0 G(t) E0^-1 W^-1 v + k'(t) w v with two matrix-vector
+products around the FFT apply, and only the dense solve for v+ forms G_v.
+Both routes share one Crank-Nicolson loop and its boundary contamination
+monitor, which watches u.  Energy accounting and an empirical decay-loss
+classifier live here too.
 """
 from __future__ import annotations
 
@@ -134,7 +138,10 @@ def _edge_fraction(values: np.ndarray) -> float:
 
 
 class _GeneratorPieces:
-    """Frequency multipliers and cached dense blocks of G(t)."""
+    """G(t) of the plain unknown u: frequency multipliers for apply, cached
+    dense blocks for dense.  It shares with ConjugatedGenerator the four
+    methods the Crank-Nicolson loop steps with: apply(t, v), dense(t),
+    source(t) and physical(t, v)."""
 
     def __init__(self, problem: Problem, grid: Grid):
         if problem.dim != grid.dim:
@@ -146,14 +153,7 @@ class _GeneratorPieces:
         self._dense_lap = None
         self._dense_derivs = None
 
-    def coeff(self, which: str, t: float) -> np.ndarray | None:
-        fn = self.problem.b if which == "b" else self.problem.f
-        if fn is None:
-            return None
-        return np.asarray(fn(t, *self.grid.x_mesh), dtype=np.complex128)
-
-    def a_coeff(self, ax: int, t: float) -> np.ndarray | None:
-        fn = self.problem.a[ax]
+    def _sample(self, fn: Callable | None, t: float) -> np.ndarray | None:
         if fn is None:
             return None
         return np.asarray(fn(t, *self.grid.x_mesh), dtype=np.complex128)
@@ -162,13 +162,21 @@ class _GeneratorPieces:
         """G(t) u through FFT multipliers; returns values on grid.shape."""
         out = 1j * apply_multiplier(u, self.lap_mult).values
         for ax in range(self.grid.dim):
-            aco = self.a_coeff(ax, t)
+            aco = self._sample(self.problem.a[ax], t)
             if aco is not None:
                 out = out - aco * apply_multiplier(u, self.deriv_mults[ax]).values
-        bco = self.coeff("b", t)
+        bco = self._sample(self.problem.b, t)
         if bco is not None:
             out = out - bco * u.values
         return out
+
+    def source(self, t: float) -> np.ndarray | None:
+        """f(t) on grid.shape, or None for a homogeneous problem."""
+        return self._sample(self.problem.f, t)
+
+    def physical(self, t: float, u: StateVector) -> np.ndarray:
+        """The state the boundary monitor watches: u itself."""
+        return u.values
 
     def _dense_blocks(self):
         if self._dense_lap is None:
@@ -179,13 +187,14 @@ class _GeneratorPieces:
         return self._dense_lap, self._dense_derivs
 
     def dense(self, t: float) -> np.ndarray:
+        """G(t) as a dense matrix."""
         lap, derivs = self._dense_blocks()
         mat = 1j * lap
         for ax in range(self.grid.dim):
-            aco = self.a_coeff(ax, t)
+            aco = self._sample(self.problem.a[ax], t)
             if aco is not None:
                 mat = mat - aco.ravel()[:, None] * derivs[ax]
-        bco = self.coeff("b", t)
+        bco = self._sample(self.problem.b, t)
         if bco is not None:
             mat = mat - np.diag(bco.ravel())
         return mat
@@ -259,31 +268,28 @@ def _trace_values(u: StateVector, indices: Sequence[GsIndices]) -> dict[str, flo
     return {idx.label(): gs_norm_ex(u, idx).value for idx in indices}
 
 
-def solve(problem: Problem, grid: Grid, dt: float, *, indices: Sequence[GsIndices] = (), sample_every: int | None = None, method: str = "krylov", boundary_factor: float = 100.0, boundary_floor: float = 1e-8) -> SolveResult:
-    """Integrate the problem on [0, T].
+def _crank_nicolson(gen, v: StateVector, dt: float, nsteps: int, *, method: str, indices: Sequence[GsIndices], eig_stride: int = 0):
+    """The Crank-Nicolson loop of both routes; gen is a _GeneratorPieces or a
+    ConjugatedGenerator.
 
-    Both methods apply G through FFTs for the right-hand side.  "krylov"
-    solves each step with GMRES, aborts when a step's true relative
-    residual stays above 1e-12 and reports applies per step and the worst
-    residual under "gmres"; "dense", a reference, solves against the
-    assembled matrix.  The boundary monitor records the relative edge
-    magnitude at every sample and aborts the run when it exceeds
-    max(boundary_floor, boundary_factor * initial fraction): a periodic
-    box only represents the whole-space problem while the state stays
-    negligible at the edge.
+    "dense" solves against gen.dense(t+dt), and with eig_stride > 0 takes
+    gen.min_eig of that matrix every that many steps; "krylov" runs GMRES
+    on gen.apply and aborts when a step's true relative residual stays
+    above 1e-12.  About 50 samples trace the norms of v and the edge
+    fraction of gen.physical(t, v); the run aborts when that exceeds
+    max(1e-8, 100 * initial fraction), since a periodic box only represents
+    the whole-space problem while the state stays negligible at the edge.
+    Returns v, the trace, the eig samples and the shared report keys.
     """
-    pieces = _GeneratorPieces(problem, grid)
-    nsteps = _steps_for(problem.T, dt)
-    if method not in ("krylov", "dense"):
-        raise ValueError(f"unknown method {method!r}")
-    stride = sample_every if sample_every is not None else max(1, nsteps // 50)
-
-    u = sample(grid, problem.g)
-    labels = tuple(idx.label() for idx in indices)
-    trace = EnergyTrace(labels=labels)
-    frac0 = _edge_fraction(u.values)
-    threshold = max(boundary_floor, boundary_factor * frac0)
-    trace.add(0.0, _trace_values(u, indices), frac0)
+    grid = v.grid
+    stride = max(1, nsteps // 50)
+    trace = EnergyTrace(labels=tuple(idx.label() for idx in indices))
+    frac0 = _edge_fraction(gen.physical(0.0, v))
+    threshold = max(1e-8, 100.0 * frac0)
+    trace.add(0.0, _trace_values(v, indices), frac0)
+    eig_samples: list[dict] = []
+    if eig_stride > 0:
+        eig_samples.append({"t": 0.0, "min_eig": gen.min_eig(gen.dense(0.0))})
 
     aborted = False
     reason = None
@@ -294,12 +300,16 @@ def solve(problem: Problem, grid: Grid, dt: float, *, indices: Sequence[GsIndice
     t = 0.0
     for k in range(nsteps):
         t_next = (k + 1) * dt
-        rhs = u.values + 0.5 * dt * pieces.apply(t, u)
-        fmid = pieces.coeff("f", t + 0.5 * dt)
+        last = k + 1 == nsteps
+        rhs = v.values + 0.5 * dt * gen.apply(t, v)
+        fmid = gen.source(t + 0.5 * dt)
         if fmid is not None:
             rhs = rhs + dt * fmid
         if method == "dense":
-            vals = np.linalg.solve(eye - 0.5 * dt * pieces.dense(t_next), rhs.ravel())
+            g_next = gen.dense(t_next)
+            vals = np.linalg.solve(eye - 0.5 * dt * g_next, rhs.ravel())
+            if eig_stride > 0 and ((k + 1) % eig_stride == 0 or last):
+                eig_samples.append({"t": t_next, "min_eig": gen.min_eig(g_next)})
         else:
             calls = 0
 
@@ -307,20 +317,20 @@ def solve(problem: Problem, grid: Grid, dt: float, *, indices: Sequence[GsIndice
                 nonlocal calls
                 calls += 1
                 st = StateVector(grid, vflat.reshape(grid.shape))
-                return vflat - 0.5 * dt * pieces.apply(t_next, st).ravel()
+                return vflat - 0.5 * dt * gen.apply(t_next, st).ravel()
 
-            vals, relres = _gmres(apply_a, rhs.ravel(), u.values.ravel())
+            vals, relres = _gmres(apply_a, rhs.ravel(), v.values.ravel())
             applies.append(calls)
             worst_relres = max(worst_relres, relres)
             if relres > _GMRES_TOL:
                 aborted = True
                 reason = f"iterative step solve stalled at t={t_next:.6g}"
                 break
-        u = StateVector(grid, vals.reshape(grid.shape))
+        v = StateVector(grid, vals.reshape(grid.shape))
         t = t_next
-        if (k + 1) % stride == 0 or k + 1 == nsteps:
-            frac = _edge_fraction(u.values)
-            trace.add(t, _trace_values(u, indices), frac)
+        if (k + 1) % stride == 0 or last:
+            frac = _edge_fraction(gen.physical(t, v))
+            trace.add(t, _trace_values(v, indices), frac)
             if frac > threshold:
                 aborted = True
                 reason = (
@@ -328,14 +338,8 @@ def solve(problem: Problem, grid: Grid, dt: float, *, indices: Sequence[GsIndice
                 )
                 break
 
-    report = {
-        "n": grid.n,
-        "L": grid.L,
-        "dim": grid.dim,
-        "dt": dt,
-        "T": problem.T,
+    stepping = {
         "steps_taken": int(round(t / dt)),
-        "method": method,
         "gmres": None if method == "dense" else {
             "applies_per_step": {"min": min(applies), "mean": sum(applies) / len(applies), "max": max(applies)},
             "worst_relres": worst_relres,
@@ -345,8 +349,36 @@ def solve(problem: Problem, grid: Grid, dt: float, *, indices: Sequence[GsIndice
         "boundary_threshold": threshold,
         "boundary_initial": frac0,
         "boundary_final": trace.boundary[-1],
-        "final_l2": u.l2_norm(),
         "final_time": t,
+    }
+    return v, trace, eig_samples, stepping
+
+
+def solve(problem: Problem, grid: Grid, dt: float, *, indices: Sequence[GsIndices] = (), method: str = "krylov") -> SolveResult:
+    """Integrate the problem on [0, T].
+
+    Both methods apply G through FFTs for the right-hand side.  "krylov"
+    solves each step with GMRES and reports applies per step and the worst
+    residual under "gmres"; "dense", a reference, solves against the
+    assembled matrix.  Aborts (GMRES stall, boundary contamination) are
+    those of the shared loop, _crank_nicolson.
+    """
+    pieces = _GeneratorPieces(problem, grid)
+    nsteps = _steps_for(problem.T, dt)
+    if method not in ("krylov", "dense"):
+        raise ValueError(f"unknown method {method!r}")
+    u, trace, _, stepping = _crank_nicolson(
+        pieces, sample(grid, problem.g), dt, nsteps, method=method, indices=indices
+    )
+    report = {
+        "n": grid.n,
+        "L": grid.L,
+        "dim": grid.dim,
+        "dt": dt,
+        "T": problem.T,
+        "method": method,
+        **stepping,
+        "final_l2": u.l2_norm(),
     }
     return SolveResult(u=u, trace=trace, report=report)
 
@@ -367,84 +399,75 @@ class ConjugatedGenerator:
 
     def __init__(self, problem: Problem, pair: WeightPair, params: LambdaParams, schedule: ConjugationSchedule, *, cond_cap: float = 1e12):
         self.pieces = _GeneratorPieces(problem, pair.grid)
+        self.grid = pair.grid
         self.e0 = pair.e0.matrix
         self.e0inv = pair.inverse(cond_cap=cond_cap).matrix
         self.schedule = schedule
         self.w = (np.sqrt(params.h**2 + pair.grid.x_norm**2) ** (1.0 - params.sigma)).ravel()
 
-    def at(self, t: float) -> np.ndarray:
+    def weight(self, t: float) -> np.ndarray:
+        """e^(k(t) w) per node: the diagonal factor of E(t)."""
+        return np.exp(self.schedule.k(t) * self.w)
+
+    def physical(self, t: float, v: StateVector) -> np.ndarray:
+        """u = E(t)^-1 v = E0^-1 (v / e^(k(t) w)) on grid.shape."""
+        return (self.e0inv @ (v.values.ravel() / self.weight(t))).reshape(self.grid.shape)
+
+    def apply(self, t: float, v: StateVector) -> np.ndarray:
+        """G_v(t) v without forming G_v, through the similarity
+        W E0 G(t) E0^-1 W^-1 v + k'(t) w v with W = diag(e^(k(t) w))."""
+        gu = self.pieces.apply(t, StateVector(self.grid, self.physical(t, v))).ravel()
+        out = self.weight(t) * (self.e0 @ gu) + self.schedule.kprime(t) * self.w * v.values.ravel()
+        return out.reshape(self.grid.shape)
+
+    def dense(self, t: float) -> np.ndarray:
         """G_v(t) as a dense matrix."""
         core = self.e0 @ self.pieces.dense(t) @ self.e0inv
         s_fac = np.exp(self.schedule.k(t) * (self.w[:, None] - self.w[None, :]))
         return s_fac * core + np.diag(self.schedule.kprime(t) * self.w)
 
-    def weight(self, t: float) -> np.ndarray:
-        """e^(k(t) w) per node: the diagonal factor of E(t)."""
-        return np.exp(self.schedule.k(t) * self.w)
+    def source(self, t: float) -> np.ndarray | None:
+        """E(t) f(t) on grid.shape, or None for a homogeneous problem."""
+        f = self.pieces.source(t)
+        if f is None:
+            return None
+        return (self.weight(t) * (self.e0 @ f.ravel())).reshape(self.grid.shape)
 
     def min_eig(self, gv: np.ndarray) -> float:
         """Smallest eigenvalue of the Hermitian part of i Lap - gv."""
         lap, _ = self.pieces._dense_blocks()
-        return hermitian_min_eig(DenseOp(self.pieces.grid, 1j * lap - gv, "composite"))
+        return hermitian_min_eig(DenseOp(self.grid, 1j * lap - gv, "composite"))
 
 
-def solve_conjugated(problem: Problem, grid: Grid, dt: float, params: LambdaParams, schedule: ConjugationSchedule, *, indices: Sequence[GsIndices] = (), eig_stride: int = 0, sample_every: int | None = None, remainder_cap: float = 1.0, cond_cap: float = 1e12, nnode: int = 24, seed: int = 0) -> ConjugatedResult:
+def solve_conjugated(problem: Problem, grid: Grid, dt: float, params: LambdaParams, schedule: ConjugationSchedule, *, indices: Sequence[GsIndices] = (), eig_stride: int = 0) -> ConjugatedResult:
     """Integrate the weighted unknown v = E(t) u and undo the weight.
 
     E(t) = diag(e^(k(t) w)) E0 with w = <x>_h^(1-sigma) and E0 the direct
     quantization of e^lam.  The run refuses to start unless the
-    quantization remainder of the weight is small (below remainder_cap)
-    and E0 passes the conditioning cap.  With eig_stride > 0, the smallest
-    eigenvalue of the Hermitian part of i Lap - G_v is recorded every that
-    many steps; its uniform lower bound is the discrete form of the energy
-    inequality the weight is designed to produce.  The edge fraction of v
-    is recorded at every sample; unlike solve, this route never aborts.
+    quantization remainder of the weight is below 1 and E0 passes the
+    conditioning cap.  Each step solves densely against G_v.  With
+    eig_stride > 0, the smallest eigenvalue of the Hermitian part of
+    i Lap - G_v is recorded every that many steps; its uniform lower bound
+    is the discrete form of the energy inequality the weight is designed
+    to produce.  The trace holds the norms of v; the boundary monitor
+    watches u, as in solve, since the weight lifts v toward the edge.
     """
     if abs(schedule.T - problem.T) > 1e-12:
         raise ValueError("schedule horizon differs from problem horizon")
     nsteps = _steps_for(problem.T, dt)
-    stride = sample_every if sample_every is not None else max(1, nsteps // 50)
 
-    pair = WeightPair(grid, lambda_on_grid(grid, params, nnode=nnode))
-    rem = pair.remainder_norm(seed=seed)
-    if not (rem < remainder_cap):
-        raise ValueError(f"weight quantization remainder {rem:.3e} is not below {remainder_cap}")
-    gen = ConjugatedGenerator(problem, pair, params, schedule, cond_cap=cond_cap)
-    eye = np.eye(grid.node_count, dtype=np.complex128)
+    pair = WeightPair(grid, lambda_on_grid(grid, params))
+    rem = pair.remainder_norm()
+    if not (rem < 1.0):
+        raise ValueError(f"weight quantization remainder {rem:.3e} is not below 1")
+    gen = ConjugatedGenerator(problem, pair, params, schedule)
 
     gvals = sample(grid, problem.g).values.ravel()
-    vflat = gen.weight(0.0) * (gen.e0 @ gvals)
-    v = StateVector(grid, vflat.reshape(grid.shape))
-
-    labels = tuple(idx.label() for idx in indices)
-    trace = EnergyTrace(labels=labels)
-    frac0 = _edge_fraction(v.values)
-    trace.add(0.0, _trace_values(v, indices), frac0)
-
-    eig_samples: list[dict] = []
-    g_now = gen.at(0.0)
-    if eig_stride > 0:
-        eig_samples.append({"t": 0.0, "min_eig": gen.min_eig(g_now)})
-
-    t = 0.0
-    for k in range(nsteps):
-        t_next = (k + 1) * dt
-        g_next = gen.at(t_next)
-        rhs = (eye + 0.5 * dt * g_now) @ v.values.ravel()
-        fmid = gen.pieces.coeff("f", t + 0.5 * dt)
-        if fmid is not None:
-            rhs = rhs + dt * (gen.weight(t + 0.5 * dt) * (gen.e0 @ fmid.ravel()))
-        vflat = np.linalg.solve(eye - 0.5 * dt * g_next, rhs)
-        v = StateVector(grid, vflat.reshape(grid.shape))
-        t = t_next
-        if eig_stride > 0 and ((k + 1) % eig_stride == 0 or k + 1 == nsteps):
-            eig_samples.append({"t": t, "min_eig": gen.min_eig(g_next)})
-        if (k + 1) % stride == 0 or k + 1 == nsteps:
-            trace.add(t, _trace_values(v, indices), _edge_fraction(v.values))
-        g_now = g_next
-
-    uflat = gen.e0inv @ (vflat / gen.weight(problem.T))
-    u = StateVector(grid, uflat.reshape(grid.shape))
+    v0 = StateVector(grid, (gen.weight(0.0) * (gen.e0 @ gvals)).reshape(grid.shape))
+    v, trace, eig_samples, stepping = _crank_nicolson(
+        gen, v0, dt, nsteps, method="dense", indices=indices, eig_stride=eig_stride
+    )
+    u = StateVector(grid, gen.physical(stepping["final_time"], v))
     report = {
         "n": grid.n,
         "L": grid.L,
@@ -452,6 +475,7 @@ def solve_conjugated(problem: Problem, grid: Grid, dt: float, params: LambdaPara
         "dt": dt,
         "T": problem.T,
         "method": "conjugated-dense",
+        **stepping,
         "remainder_norm": rem,
         "min_eig_floor": min((e["min_eig"] for e in eig_samples), default=None),
         "final_l2_u": u.l2_norm(),

@@ -284,7 +284,7 @@ def _cmd_conjugation_check(args, out: Path) -> dict:
         params = LambdaParams(M=args.M, h=h, s=args.s, sigma=args.sigma)
         pair = WeightPair(grid, lambda_on_grid(grid, params))
         gen = ConjugatedGenerator(ep.problem, pair, params, sched, cond_cap=1e14)
-        return gen.min_eig(gen.at(args.t))
+        return gen.min_eig(gen.dense(args.t))
 
     with ThreadPoolExecutor(max_workers=max(1, args.threads)) as ex:
         eigs = list(ex.map(min_eig_for, hs))
@@ -326,24 +326,25 @@ def _cmd_energy(args, out: Path) -> dict:
         res = solve_conjugated(
             ep.problem, grid, args.dt, params, sched, indices=idx, eig_stride=args.eig_stride
         )
-        trace = res.trace
         extra = {
             "remainder_norm": res.report["remainder_norm"],
             "min_eig_floor": res.report["min_eig_floor"],
             "eig_samples": res.eig_samples,
         }
     else:
-        sres = solve(ep.problem, grid, args.dt, indices=idx, method=args.method)
-        trace = sres.trace
-        extra = {"aborted": sres.report["aborted"], "abort_reason": sres.report["abort_reason"]}
+        res = solve(ep.problem, grid, args.dt, indices=idx, method=args.method)
+        extra = {}
+    trace = res.trace
     gron = gronwall_check(trace.times, trace.columns[l2.label()])
     report = {
         "example": args.example,
         "conjugated": bool(args.conjugated),
         "C0": gron["C0"],
         "argmax_t": gron["argmax_t"],
+        "aborted": res.report["aborted"],
+        "abort_reason": res.report["abort_reason"],
         **extra,
-        "pass": bool(np.isfinite(gron["C0"])) and not extra.get("aborted", False),
+        "pass": bool(np.isfinite(gron["C0"])) and not res.report["aborted"],
     }
     _write_csv(out / "trace.csv", trace.header(), trace.rows())
     series = {lab: list(zip(trace.times, trace.columns[lab])) for lab in trace.labels}

@@ -26,8 +26,6 @@ __all__ = [
     "forward_dft",
     "inverse_dft",
     "apply_multiplier",
-    "spectral_derivative",
-    "laplacian",
 ]
 
 
@@ -228,18 +226,3 @@ def _derivative_multiplier(grid: Grid, axis: int) -> np.ndarray:
     m = np.where(grid.nyquist_mask[axis], 0.0, m)
     return m
 
-
-def spectral_derivative(u: StateVector, axis: int = 0) -> StateVector:
-    """Differentiate along one axis via the i*xi multiplier.
-
-    The Nyquist mode is zeroed so the operator stays exactly skew-adjoint;
-    grid exponentials exp(i xi_k x) with |k| < n/2 are exact eigenfunctions.
-    """
-    return apply_multiplier(u, _derivative_multiplier(u.grid, axis))
-
-
-def laplacian(u: StateVector) -> StateVector:
-    """Apply the -|xi|^2 multiplier (even, so the Nyquist mode is kept)."""
-    g = u.grid
-    m = -(g.xi_norm**2)
-    return apply_multiplier(u, m)

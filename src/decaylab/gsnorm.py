@@ -24,7 +24,6 @@ __all__ = [
     "SweepRow",
     "bracket",
     "pigr_apply",
-    "gs_norm",
     "gs_norm_ex",
     "norm_box_sweep",
 ]
@@ -202,11 +201,6 @@ def gs_norm_ex(u: StateVector, idx: GsIndices) -> NormResult:
     if not np.isfinite(value):
         overflow = True
     return NormResult(value=value, log_value=float(log_value), overflow=bool(overflow))
-
-
-def gs_norm(u: StateVector, idx: GsIndices) -> float:
-    """Weighted norm as a plain float (inf when beyond double range)."""
-    return gs_norm_ex(u, idx).value
 
 
 def norm_box_sweep(states: Sequence[StateVector], idx: GsIndices) -> list[SweepRow]:

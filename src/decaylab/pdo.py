@@ -18,13 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, StateVector, forward_dft, inverse_dft
+from .grid import Grid, StateVector
 
 __all__ = [
     "DenseOp",
     "WeightPair",
-    "kn_apply",
-    "rev_apply",
     "assemble_dense",
     "adjoint",
     "inverse",
@@ -85,42 +83,6 @@ def _sym_flat(grid: Grid, sym: np.ndarray) -> np.ndarray:
     if sym.shape == grid.shape + grid.shape:
         return sym.reshape(n, n)
     raise ValueError(f"symbol must have shape {grid.shape + grid.shape}, got {sym.shape}")
-
-
-def kn_apply(u: StateVector, sym: np.ndarray, *, chunk: int = 256) -> StateVector:
-    """Apply the direct quantization of a phase-space symbol.
-
-    sym has shape grid.shape + grid.shape (spatial indices first).  The
-    result at x_j is c sum_k sym[j, k] e^(i x_j . xi_k) uhat[k]."""
-    g = u.grid
-    _check_size(g)
-    s = _sym_flat(g, sym)
-    uh = forward_dft(u).values.ravel()
-    xf, xif = _flat_coords(g)
-    scale = (g.dxi / (2.0 * np.pi)) ** g.dim
-    n = g.node_count
-    out = np.empty(n, dtype=np.complex128)
-    for a in range(0, n, chunk):
-        b = min(a + chunk, n)
-        phase = np.exp(1j * (xf[a:b] @ xif.T))
-        out[a:b] = (s[a:b] * phase) @ uh
-    return StateVector(g, (out * scale).reshape(g.shape))
-
-
-def rev_apply(u: StateVector, sym: np.ndarray, *, chunk: int = 256) -> StateVector:
-    """Apply the reverse quantization (symbol evaluated at the input node)."""
-    g = u.grid
-    _check_size(g)
-    s = _sym_flat(g, sym)
-    xf, xif = _flat_coords(g)
-    uw = u.values.ravel() * g.dx**g.dim
-    n = g.node_count
-    tmp = np.empty(n, dtype=np.complex128)
-    for a in range(0, n, chunk):
-        b = min(a + chunk, n)
-        ph = np.exp(-1j * (xf @ xif[a:b].T))
-        tmp[a:b] = (s[:, a:b] * ph).T @ uw
-    return inverse_dft(StateVector(g, tmp.reshape(g.shape), space="xi"))
 
 
 def assemble_dense(grid: Grid, kind: str, sym: np.ndarray) -> DenseOp:

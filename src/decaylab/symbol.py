@@ -31,7 +31,6 @@ __all__ = [
     "LambdaParams",
     "ConjugationSchedule",
     "smooth_cutoff",
-    "lambda1",
     "lambda_sym",
     "lambda_on_grid",
     "c_of_lambda",
@@ -251,15 +250,6 @@ def _geometry(x, xi):
     y = np.sum(x * omega, axis=-1)
     rho_sq = np.maximum(np.sum(x * x, axis=-1) - y * y, 0.0)
     return y, rho_sq, xin
-
-
-def lambda1(x, xi, params: LambdaParams, *, dim=None, nnode: int = 24):
-    """Accumulated-decay profile along omega = xi/|xi| at the full
-    transverse offset: F(x . omega, |x|^2 - (x . omega)^2).  Odd in xi."""
-    x, xi, _, scalar = _as_points(x, xi, dim)
-    y, rho_sq, _ = _geometry(x, xi)
-    out = params.M * _profile_integral(y, rho_sq, params.s, nnode)
-    return float(out[0]) if scalar else out
 
 
 def _blend(y, rho_sq, bx, params: LambdaParams, nnode: int) -> np.ndarray:

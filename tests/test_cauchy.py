@@ -17,7 +17,7 @@ from decaylab.examples import example1, example2, _family
 from decaylab.grid import Grid, StateVector, forward_dft, inverse_dft, sample
 from decaylab.gsnorm import GsIndices
 from decaylab.pdo import DenseOp, WeightPair, assemble_dense, hermitian_min_eig
-from decaylab.symbol import ConjugationSchedule, LambdaParams
+from decaylab.symbol import ConjugationSchedule, LambdaParams, lambda_on_grid
 
 
 def _free_problem(T=0.2):
@@ -164,11 +164,24 @@ def test_boundary_monitor_aborts_on_tight_box():
     assert not roomy.report["aborted"]
 
 
+def test_conjugated_boundary_monitor_aborts_on_tight_box():
+    # the box of test_boundary_monitor_aborts_on_tight_box with the gate
+    # closed: the monitor watches u, not the weight-lifted v, so it fires
+    g = Grid(dim=1, n=64, L=4.0)
+    params = LambdaParams(M=1.0, h=30.0, s=1.8, sigma=0.5)
+    sched = ConjugationSchedule(M=1.0, Nconst=1.0, T=1.0, k0=2.0 * np.expm1(1.0))
+    res = solve_conjugated(_free_problem(T=1.0), g, 0.02, params, sched)
+    assert res.report["aborted"]
+    assert "boundary" in res.report["abort_reason"]
+    assert res.report["final_time"] < 1.0
+    assert res.report["gmres"] is None
+
+
 def test_trace_columns_record_norms():
     ep = example1(0.5, 1.8)
     g = Grid(dim=1, n=128, L=15.0)
     idx = GsIndices()
-    res = solve(ep.problem, g, 0.05, indices=(idx,), sample_every=2)
+    res = solve(ep.problem, g, 0.05, indices=(idx,))
     lab = idx.label()
     assert lab in res.trace.columns
     col = res.trace.columns[lab]
@@ -201,10 +214,26 @@ def test_conjugated_generator_with_closed_gate():
     t = 0.2
     plain = _GeneratorPieces(ep.problem, g).dense(t)
     want = np.exp(sched.k(t) * (w[:, None] - w[None, :])) * plain + np.diag(sched.kprime(t) * w)
-    assert np.max(np.abs(gen.at(t) - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(gen.dense(t) - want)) <= 1e-12 * np.max(np.abs(want))
     origin = int(np.argmin(np.abs(g.x)))
     assert g.x[origin] == 0.0
     assert gen.weight(t)[origin] == pytest.approx(np.exp(sched.k(t) * 15.0**0.5), rel=1e-14)
+
+
+def test_conjugated_generator_apply_matches_dense():
+    # the right-hand side applies G_v matrix-free through the diagonal
+    # similarity; with the gate open it must equal the dense G_v
+    ep = example1(0.5, 1.8)
+    g = Grid(dim=1, n=128, L=15.0)
+    params = LambdaParams(M=1.0, h=12.0, s=1.8, sigma=0.5)
+    sched = ConjugationSchedule(M=1.0, Nconst=0.5, T=0.5, k0=2.0 * np.expm1(0.25))
+    pair = WeightPair(g, lambda_on_grid(g, params))
+    assert pair.remainder_norm() > 0.0
+    gen = ConjugatedGenerator(ep.problem, pair, params, sched)
+    v = StateVector(g, np.exp(-g.x**2 / 4.0) * (1.0 + 0.5j * g.x))
+    for t in (0.0, 0.3):
+        want = gen.dense(t) @ v.values
+        assert np.max(np.abs(gen.apply(t, v) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_conjugated_route_horizon_mismatch():
@@ -252,7 +281,7 @@ def test_route_equivalence_at_quarter_horizon():
 def test_gronwall_check_unitary_run():
     g = Grid(dim=1, n=32, L=8.0)
     idx = GsIndices()
-    res = solve(_free_problem(), g, 0.01, indices=(idx,), sample_every=4)
+    res = solve(_free_problem(), g, 0.01, indices=(idx,))
     rep = gronwall_check(res.trace.times, res.trace.columns[idx.label()])
     assert abs(rep["C0"] - 1.0) <= 1e-6
 

@@ -181,6 +181,15 @@ def test_energy_conjugated(tmp_path):
     assert 0 < report["remainder_norm"] < 1
     assert np.isfinite(report["min_eig_floor"])
     assert len(report["eig_samples"]) >= 3
+    assert report["aborted"] is False and report["abort_reason"] is None
+
+
+def test_energy_conjugated_default_run_reports_no_abort(tmp_path):
+    # criterion 9's settings: the boundary monitor watches u and stays quiet
+    rc, report, _ = _run(tmp_path, "energy", "--example", "1", "--conjugated")
+    assert rc == 0
+    assert report["aborted"] is False
+    assert report["pass"] is True
 
 
 def test_sharpness_opposite_verdicts(tmp_path):

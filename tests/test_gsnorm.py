@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decaylab.grid import Grid, StateVector, sample
-from decaylab.gsnorm import GsIndices, bracket, gs_norm, gs_norm_ex, norm_box_sweep, pigr_apply
+from decaylab.gsnorm import GsIndices, bracket, gs_norm_ex, norm_box_sweep, pigr_apply
 
 
 def gaussian_state(n=256, L=20.0):
@@ -39,20 +39,20 @@ def test_zero_indices_is_identity():
 
 def test_zero_indices_norm_is_l2():
     u = gaussian_state()
-    assert gs_norm(u, GsIndices()) == pytest.approx(u.l2_norm(), rel=1e-13)
+    assert gs_norm_ex(u, GsIndices()).value == pytest.approx(u.l2_norm(), rel=1e-13)
 
 
 def test_gaussian_l2_value():
     # ||exp(-x^2/2)||_L2 = pi^(1/4); box truncation at L=20 is far below rounding
     u = gaussian_state()
-    assert gs_norm(u, GsIndices()) == pytest.approx(np.pi**0.25, rel=1e-12)
+    assert gs_norm_ex(u, GsIndices()).value == pytest.approx(np.pi**0.25, rel=1e-12)
 
 
 def test_weight_m2_analytic():
     # ||<x> exp(-x^2/2)||^2 = int (1+x^2) e^{-x^2} = (3/2) sqrt(pi)
     u = gaussian_state()
     ref = np.sqrt(1.5 * np.sqrt(np.pi))
-    assert gs_norm(u, GsIndices(m2=1.0)) == pytest.approx(ref, rel=1e-12)
+    assert gs_norm_ex(u, GsIndices(m2=1.0)).value == pytest.approx(ref, rel=1e-12)
 
 
 def test_weight_m1_on_pure_mode():
@@ -60,7 +60,7 @@ def test_weight_m1_on_pure_mode():
     k0 = 5 * g.dxi
     u = StateVector(g, np.exp(1j * k0 * g.x))
     ref = (1.0 + k0 * k0) ** 0.75 * np.sqrt(2.0 * g.L)
-    assert gs_norm(u, GsIndices(m1=1.5)) == pytest.approx(ref, rel=1e-11)
+    assert gs_norm_ex(u, GsIndices(m1=1.5)).value == pytest.approx(ref, rel=1e-11)
 
 
 def test_weight_rho2_matches_direct_sum():
@@ -68,7 +68,7 @@ def test_weight_rho2_matches_direct_sum():
     idx = GsIndices(rho2=0.7, s=1.6)
     w = np.exp(0.7 * (1.0 + u.grid.x**2) ** (1.0 / (2 * 1.6)))
     ref = np.sqrt(np.sum(np.abs(w * u.values) ** 2) * u.grid.dx)
-    assert gs_norm(u, idx) == pytest.approx(ref, rel=1e-12)
+    assert gs_norm_ex(u, idx).value == pytest.approx(ref, rel=1e-12)
 
 
 def test_weight_rho1_matches_manual_fft():
@@ -79,7 +79,7 @@ def test_weight_rho1_matches_manual_fft():
     # boundary phases are unimodular, so coefficient magnitudes need no sign fixup
     coef = np.fft.fft(u.values)
     ref = np.sqrt(np.sum(np.abs(w * coef) ** 2) * g.dx / g.n)
-    assert gs_norm(u, idx) == pytest.approx(ref, rel=1e-11)
+    assert gs_norm_ex(u, idx).value == pytest.approx(ref, rel=1e-11)
 
 
 def test_factor_order_m2_before_rho2_applied_right_first():
@@ -161,8 +161,8 @@ def test_norm_scales_linearly(scale, seed):
     rng = np.random.default_rng(seed)
     vals = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
     idx = GsIndices(m1=0.5, m2=-1.0, rho1=0.05, rho2=0.3, s=2.0, theta=2.0)
-    a = gs_norm(StateVector(g, vals), idx)
-    b = gs_norm(StateVector(g, scale * vals), idx)
+    a = gs_norm_ex(StateVector(g, vals), idx).value
+    b = gs_norm_ex(StateVector(g, scale * vals), idx).value
     assert b == pytest.approx(scale * a, rel=1e-10)
 
 
@@ -174,7 +174,7 @@ def test_triangle_inequality(seed):
     u = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
     v = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
     idx = GsIndices(m1=0.3, m2=0.7, rho1=0.02, rho2=0.1, s=1.9, theta=2.1)
-    nu = gs_norm(StateVector(g, u), idx)
-    nv = gs_norm(StateVector(g, v), idx)
-    nuv = gs_norm(StateVector(g, u + v), idx)
+    nu = gs_norm_ex(StateVector(g, u), idx).value
+    nv = gs_norm_ex(StateVector(g, v), idx).value
+    nuv = gs_norm_ex(StateVector(g, u + v), idx).value
     assert nuv <= nu + nv + 1e-10 * (nu + nv)

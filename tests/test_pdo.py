@@ -8,8 +8,6 @@ from decaylab.grid import Grid, StateVector, forward_dft, apply_multiplier
 from decaylab.pdo import (
     DenseOp,
     WeightPair,
-    kn_apply,
-    rev_apply,
     assemble_dense,
     adjoint,
     inverse,
@@ -39,13 +37,13 @@ def test_dense_op_validation():
 
 def test_size_caps():
     g1 = Grid(dim=1, n=8192, L=10.0)
-    with pytest.raises(ValueError):
-        kn_apply(StateVector(g1, np.zeros(8192)), np.zeros(1))
+    with pytest.raises(ValueError, match="cap"):
+        assemble_dense(g1, "kn", np.zeros(1))
     g2 = Grid(dim=2, n=128, L=5.0)
-    with pytest.raises(ValueError):
-        rev_apply(StateVector(g2, np.zeros((128, 128))), np.zeros(1))
-    with pytest.raises(ValueError):
-        assemble_dense(g2, "kn", np.zeros(1))
+    with pytest.raises(ValueError, match="cap"):
+        assemble_dense(g2, "reverse", np.zeros(1))
+    with pytest.raises(ValueError, match="cap"):
+        assemble_dense(g2, "multiplier", np.zeros(g2.shape))
 
 
 def test_multiplier_matches_fft_route():
@@ -100,17 +98,32 @@ def test_adjoint_identity_random_real_symbols():
         assert np.max(np.abs(adjoint(a).matrix - b.matrix)) <= 1e-10
 
 
+def _quantization_sums(u, sym):
+    # the defining sums on flattened nodes, with c = (dxi / 2 pi)^d:
+    #   direct   c sum_k sym[j, k] e^(i x_j . xi_k) uhat[k]
+    #   reverse  c sum_k e^(i x_j . xi_k) sum_m sym[m, k] e^(-i x_m . xi_k) u[m] dx^d
+    g = u.grid
+    x = np.stack([a.ravel() for a in g.x_mesh], axis=-1)
+    xi = np.stack([a.ravel() for a in g.xi_mesh], axis=-1)
+    phase = np.exp(1j * (x @ xi.T))
+    s = sym.reshape(g.node_count, g.node_count)
+    c = (g.dxi / (2.0 * np.pi)) ** g.dim
+    uhat = forward_dft(u).values.ravel()
+    direct = c * (s * phase) @ uhat
+    reverse = c * phase @ ((s * phase.conj()).T @ (u.values.ravel() * g.dx**g.dim))
+    return direct.reshape(g.shape), reverse.reshape(g.shape)
+
+
 def test_apply_matches_assembled_matrix():
     g = Grid(dim=1, n=64, L=6.0)
     rng = np.random.default_rng(3)
     sym = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
     u = _rand_state(g, seed=4)
-    kn_direct = kn_apply(u, sym)
+    kn_sum, rev_sum = _quantization_sums(u, sym)
     kn_mat = assemble_dense(g, "kn", sym).apply(u)
-    assert np.max(np.abs(kn_direct.values - kn_mat.values)) <= 1e-9
-    rev_direct = rev_apply(u, sym)
+    assert np.max(np.abs(kn_sum - kn_mat.values)) <= 1e-9
     rev_mat = assemble_dense(g, "reverse", sym).apply(u)
-    assert np.max(np.abs(rev_direct.values - rev_mat.values)) <= 1e-9
+    assert np.max(np.abs(rev_sum - rev_mat.values)) <= 1e-9
 
 
 def test_apply_matches_assembled_2d():
@@ -118,9 +131,9 @@ def test_apply_matches_assembled_2d():
     rng = np.random.default_rng(5)
     sym = rng.standard_normal(g.shape + g.shape)
     u = _rand_state(g, seed=6)
-    direct = kn_apply(u, sym)
+    kn_sum, _ = _quantization_sums(u, sym)
     mat = assemble_dense(g, "kn", sym).apply(u)
-    assert np.max(np.abs(direct.values - mat.values)) <= 1e-9
+    assert np.max(np.abs(kn_sum - mat.values)) <= 1e-9
 
 
 def test_product_symbol_difference_is_commutator():
@@ -231,7 +244,7 @@ def test_conjugate_generator_remainder_cap():
     ep = example1(0.5, 1.8, T=0.5)
     sched = ConjugationSchedule(k0=2.0 * float(np.expm1(0.5)), Nconst=1.0, T=0.5, M=1.0)
     with pytest.raises(ValueError, match="remainder"):
-        solve_conjugated(ep.problem, g, 0.05, params, sched, remainder_cap=1e-12)
+        solve_conjugated(ep.problem, g, 0.05, params, sched)
 
 
 def test_conjugation_preserves_spectrum():

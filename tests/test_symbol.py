@@ -8,12 +8,12 @@ from decaylab.symbol import (
     _blend_slope,
     _dir_profile,
     _dir_slope,
+    _geometry,
     _profile_integral,
     ConjugationSchedule,
     LambdaParams,
     c_of_lambda,
     gevrey_bound_check,
-    lambda1,
     lambda_on_grid,
     lambda_sym,
     smooth_cutoff,
@@ -71,24 +71,31 @@ def test_tilde_chi_plateau_and_support():
     assert _dir_profile(1.0) == 0.0
 
 
+def _lambda1(x, xi, params, nnode=24):
+    """lambda1 as _blend builds it: M F(x . omega, |x|^2 - (x . omega)^2)
+    on coordinate rows (..., d)."""
+    y, rho_sq, _ = _geometry(np.asarray(x, dtype=np.float64), np.asarray(xi, dtype=np.float64))
+    return params.M * _profile_integral(y, rho_sq, params.s, nnode)
+
+
 def test_lambda1_1d_frozen_value():
     # int_0^1 (1+z^2)^(-1/4) dz, thirty-digit reference 0.937489750746936211
-    v = lambda1(1.0, 3.0, P1, dim=1)
+    v = _lambda1([[1.0]], [[3.0]], P1)[0]
     assert v == pytest.approx(0.9374897507469362, rel=1e-12)
-    assert lambda1(1.0, -3.0, P1, dim=1) == pytest.approx(-v, rel=1e-14)
+    assert _lambda1([[1.0]], [[-3.0]], P1)[0] == pytest.approx(-v, rel=1e-14)
 
 
 def test_lambda1_2d_frozen_value():
     # x=(1,1), xi=(0,3): y=1, transverse offset 1, int_0^1 (2+z^2)^(-1/4) dz
-    v = lambda1(np.array([1.0, 1.0]), np.array([0.0, 3.0]), P1)
+    v = _lambda1([[1.0, 1.0]], [[0.0, 3.0]], P1)[0]
     assert v == pytest.approx(0.8110832985667036, rel=1e-11)
 
 
 def test_lambda_linear_in_m():
     p3 = LambdaParams(M=3.0, h=1.0, s=2.0, sigma=0.5, critical=True)
-    assert lambda1(0.0, 2.0, p3, dim=1) == 0.0
-    assert lambda1(1.3, 2.0, p3, dim=1) == pytest.approx(
-        3.0 * lambda1(1.3, 2.0, P1, dim=1), rel=1e-14
+    assert _lambda1([[0.0]], [[2.0]], p3)[0] == 0.0
+    assert _lambda1([[1.3]], [[2.0]], p3)[0] == pytest.approx(
+        3.0 * _lambda1([[1.3]], [[2.0]], P1)[0], rel=1e-14
     )
 
 
@@ -96,7 +103,7 @@ def test_lambda2_matches_lambda1_in_1d():
     # lambda2 = M F(y, 0) drops the transverse offset, which is zero in 1d
     xs = np.linspace(-8.0, 8.0, 33)
     xis = np.full_like(xs, 4.0)
-    a = lambda1(xs, xis, P1, dim=1)
+    a = _lambda1(xs[:, None], xis[:, None], P1)
     b = P1.M * _profile_integral(xs, np.zeros_like(xs), P1.s)
     assert np.max(np.abs(a - b)) == 0.0
     # so the direction blend reduces to -lambda1
@@ -108,8 +115,8 @@ def test_quadrature_node_doubling():
     rng = np.random.default_rng(5)
     x = rng.uniform(-20.0, 20.0, size=(64, 2))
     xi = rng.normal(size=(64, 2)) * 5.0
-    a = lambda1(x, xi, P1, nnode=24)
-    b = lambda1(x, xi, P1, nnode=48)
+    a = _lambda1(x, xi, P1, nnode=24)
+    b = _lambda1(x, xi, P1, nnode=48)
     denom = np.maximum(np.abs(a), 1.0)
     assert np.max(np.abs(a - b) / denom) <= 1e-10
 
