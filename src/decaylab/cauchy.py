@@ -512,20 +512,22 @@ def gronwall_check(times, norms, source_norms=None) -> dict:
     return {"C0": float(ratios[i]), "argmax_t": float(times[i]), "ratios": ratios.tolist()}
 
 
-def estimate_loss_delta(phi, t: float, delta_grid, *, sigma: float, s: float, rho2_g: float = 1.0, m2: float = 0.0, L_max: float = 80.0, npts: int = 1024, tol: float = 1e-7) -> dict:
+def estimate_loss_delta(phi, t: float, delta_grid, *, sigma: float, s: float, rho2_g: float = 1.0, m2: float = 0.0) -> dict:
     """Classify each candidate decay loss delta as convergent or divergent.
 
     phi(t, x) is the log of the exact state magnitude.  For each delta the
     weighted-tail exponent w(x) = Re phi(t, x) + (rho2_g - delta) <x>^(1/s)
-    is fitted on the outer region of the largest box against the powers
-    <x>^(1-sigma) and <x>^(1/s) (a single combined coefficient when the two
-    coincide).  The dominant-power coefficient decides the verdict; ties
-    fall to the lower power and then to the polynomial criterion
-    2 m2 < -1.  infimal_delta is the smallest convergent candidate.
+    is fitted on 20 <= x <= 80 against the powers <x>^(1-sigma) and
+    <x>^(1/s) (a single combined coefficient when the two coincide).  The
+    dominant-power coefficient decides the verdict, a coefficient within
+    1e-7 of zero counting as absent; ties fall to the lower power and then
+    to the polynomial criterion 2 m2 < -1.  infimal_delta is the smallest
+    convergent candidate.
     """
     p = 1.0 - sigma
     q = 1.0 / s
-    x = np.linspace(max(4.0, 0.25 * L_max), L_max, npts)
+    tol = 1e-7
+    x = np.linspace(20.0, 80.0, 1024)
     bx = np.sqrt(1.0 + x * x)
     base = np.real(np.asarray(phi(t, x), dtype=np.complex128))
     critical = abs(p - q) < 1e-9

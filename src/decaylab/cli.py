@@ -239,21 +239,16 @@ def _cmd_symbol_check(args, out: Path) -> dict:
     params = LambdaParams(M=args.M, h=args.h, s=args.s, sigma=args.sigma)
     grid = Grid(dim=args.dim, n=args.n, L=args.L)
     tres = transport_sign_check(grid, params, direction_cap=args.cap, nnode=args.nnode, seed=args.seed)
-    clam = c_of_lambda(params, args.L, min(args.n, 256), dim=1, nnode=args.nnode)
+    clam = c_of_lambda(params, args.L, min(args.n, 256), nnode=args.nnode)
 
     xs = grid.x
     refs = [2.0 * args.h, 4.0 * args.h, -2.0 * args.h, -4.0 * args.h]
     rows = []
     series = {}
     for r in refs:
-        if grid.dim == 1:
-            vals = lambda_sym(xs, np.full_like(xs, r), params, dim=1, nnode=args.nnode)
-            pts = [(float(x), float(v)) for x, v in zip(xs, vals)]
-        else:
-            xpts = np.stack([xs, np.zeros_like(xs)], axis=-1)
-            xipts = np.broadcast_to(np.array([r, 0.0]), xpts.shape)
-            vals = lambda_sym(xpts, xipts, params, dim=2, nnode=args.nnode)
-            pts = [(float(x), float(v)) for x, v in zip(xs, vals)]
+        # in 2-D the slice x2 = 0, xi = (r, 0) has the 1-D geometry exactly
+        vals = lambda_sym(xs, np.full_like(xs, r), params, dim=1, nnode=args.nnode)
+        pts = [(float(x), float(v)) for x, v in zip(xs, vals)]
         rows.extend([x, r, v, 0.0] for x, v in pts)
         series[f"xi={r:g}"] = pts
     _write_csv(out / "symbol_field.csv", ["x", "xi", "re", "im"], rows)

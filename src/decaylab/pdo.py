@@ -179,28 +179,28 @@ class WeightPair:
         return inverse(self.e0, cond_cap=cond_cap)
 
 
-def conjugation_remainder_check(hs, *, n: int, L: float, M: float, s: float, sigma: float, dim: int = 1, critical: bool = False, nnode: int = 24, seed: int = 0) -> dict:
+def conjugation_remainder_check(hs, *, n: int, L: float, M: float, s: float, sigma: float, seed: int = 0) -> dict:
     """Measure how far the two quantizations of the phase weight are from
     being mutually inverse, as the activation threshold h grows.
 
-    For each h, the spectral norm of r1 = KN(e^lam) REV(e^-lam) - I is
-    estimated.  Larger h freezes the weight on more of the frequency grid,
-    so the norms should decrease; the empirical threshold h0 is the
-    smallest h in the sweep with norm < 1.
+    For each h, the spectral norm of r1 = KN(e^lam) REV(e^-lam) - I on the
+    one-dimensional grid is estimated.  Larger h freezes the weight on more
+    of the frequency grid, so the norms should decrease; the empirical
+    threshold h0 is the smallest h in the sweep with norm < 1.
     """
     from .symbol import LambdaParams, lambda_on_grid
 
-    g = Grid(dim=dim, n=n, L=L)
+    g = Grid(dim=1, n=n, L=L)
     _check_size(g)
     rows = []
     h0 = None
     for h in hs:
-        params = LambdaParams(M=M, h=float(h), s=s, sigma=sigma, critical=critical)
-        nrm = WeightPair(g, lambda_on_grid(g, params, nnode=nnode)).remainder_norm(seed=seed)
+        params = LambdaParams(M=M, h=float(h), s=s, sigma=sigma)
+        nrm = WeightPair(g, lambda_on_grid(g, params)).remainder_norm(seed=seed)
         rows.append({"h": float(h), "norm_r1": nrm, "n": n})
         if h0 is None and nrm < 1.0:
             h0 = float(h)
-    return {"rows": rows, "h0": h0, "n": n, "L": L, "dim": dim}
+    return {"rows": rows, "h0": h0, "n": n, "L": L}
 
 
 def hermitian_min_eig(op: DenseOp, *, max_nodes: int = 2048) -> float:

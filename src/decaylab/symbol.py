@@ -13,9 +13,14 @@ The key payoff is the transport identity: wherever the direction cutoff sits
 on its plateau, sum_j (d lam / d x_j) xi_j = -M <x>^(1/s - 1) |xi| exactly,
 and elsewhere the same quantity is still bounded above by that value.
 
-All phase-space checks exploit that the transport quantity divided by |xi|
-depends on xi only through omega, so verifying one radius per lattice
-direction class covers every lattice point of the frequency grid exactly.
+lam depends on xi only through the gate of |xi| and the direction omega,
+and is odd under omega -> -omega.  _primitive_directions reduces the integer
+frequency nodes to direction classes (primitive lattice vectors modulo
+sign), and both lattice computations run once per class: lambda_on_grid
+evaluates the blend once per class and scales it by gate and sign at each
+of the class's nodes, and the transport check, whose quantity divided by
+|xi| depends on omega alone, covers every frequency node with |xi| >= 2h
+by checking each class once.
 """
 from __future__ import annotations
 
@@ -252,7 +257,7 @@ def _geometry(x, xi):
     return y, rho_sq, xin
 
 
-def _blend(y, rho_sq, bx, params: LambdaParams, nnode: int) -> np.ndarray:
+def _blend(y, rho_sq, bx, params: LambdaParams, nnode: int = 24) -> np.ndarray:
     """-(lambda1 * chi + lambda2 * (1 - chi)) given the direction geometry;
     lambda2 = M F(y, 0) is the profile with the transverse offset dropped."""
     lam1 = params.M * _profile_integral(y, rho_sq, params.s, nnode)
@@ -306,80 +311,71 @@ def lambda_sym(x, xi, params: LambdaParams, *, dim=None, nnode: int = 24):
     return float(out[0]) if scalar else out
 
 
-def lambda_on_grid(grid: Grid, params: LambdaParams, *, nnode: int = 24, xi_chunk: int = 1024) -> np.ndarray:
+def _lattice(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    # spatial nodes and integer frequency nodes k (xi = dxi * k) as
+    # coordinate rows (node_count, dim), in grid order
+    kmesh = np.meshgrid(*(grid.k_int,) * grid.dim, indexing="ij")
+    return tuple(np.stack([a.ravel() for a in mesh], axis=-1) for mesh in (grid.x_mesh, kmesh))
+
+
+def _primitive_directions(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Direction classes of nonzero integer frequency nodes k, shape (m, d),
+    reduced modulo scaling and antipodal symmetry.
+
+    Returns the class unit vectors, in lexicographic order of their
+    primitive lattice vectors, the class of each node and its +-1 sign:
+    k_i / |k_i| = sign_i * dirs[cls_i].
+    """
+    prim = k // np.gcd.reduce(np.abs(k), axis=1)[:, None]
+    # canonical antipodal representative: first nonzero component positive
+    flip = (prim[:, 0] < 0) | ((prim[:, 0] == 0) & (prim[:, -1] < 0))
+    prim[flip] *= -1
+    prim, cls = np.unique(prim, axis=0, return_inverse=True)
+    dirs = prim / np.sqrt(np.sum(prim * prim, axis=-1))[:, None]
+    return dirs, cls, np.where(flip, -1.0, 1.0)
+
+
+def lambda_on_grid(grid: Grid, params: LambdaParams) -> np.ndarray:
     """Evaluate the phase part on the full tensor grid.
 
-    Returns an array of shape grid.shape + grid.shape: spatial indices
-    first, frequency indices last, matching the dense-operator layout.
+    The blend is evaluated once per direction class of the frequency nodes
+    the gate leaves open, over all x, and each node of the class gets that
+    column times its gate and antipodal sign.  Returns an array of shape
+    grid.shape + grid.shape: spatial indices first, frequency indices last,
+    matching the dense-operator layout.
     """
-    xs = grid.x_mesh if grid.dim == 2 else (grid.x,)
-    xis = grid.xi_mesh if grid.dim == 2 else (grid.xi,)
-    xpts = np.stack([a.ravel() for a in xs], axis=-1)
-    xipts = np.stack([a.ravel() for a in xis], axis=-1)
-    nx, nxi = xpts.shape[0], xipts.shape[0]
-    out = np.zeros((nx, nxi), dtype=np.float64)
-    bx = np.sqrt(1.0 + np.sum(xpts * xpts, axis=-1))
+    xpts, k = _lattice(grid)
+    xi = grid.dxi * k
+    gate = _freq_gate(np.sqrt(np.sum(xi * xi, axis=-1)), params.h)
+    act = np.nonzero(gate > 0.0)[0]
+    dirs, cls, sign = _primitive_directions(k[act])
+    scale = gate[act] * sign
     xnorm2 = np.sum(xpts * xpts, axis=-1)
-    for start in range(0, nxi, xi_chunk):
-        blk = xipts[start : start + xi_chunk]
-        xin = np.sqrt(np.sum(blk * blk, axis=-1))
-        gate = _freq_gate(xin, params.h)
-        act = np.nonzero(gate > 0.0)[0]
-        if act.size == 0:
-            continue
-        omega = blk[act] / xin[act][:, None]
-        y = xpts @ omega.T
-        rho_sq = np.maximum(xnorm2[:, None] - y * y, 0.0)
-        vals = _blend(y, rho_sq, bx[:, None], params, nnode)
-        out[:, start + act] = gate[act][None, :] * vals
+    bx = np.sqrt(1.0 + xnorm2)
+    out = np.zeros((xpts.shape[0], k.shape[0]), dtype=np.float64)
+    for c, w in enumerate(dirs):
+        y = xpts @ w
+        rho_sq = np.maximum(xnorm2 - y * y, 0.0)
+        members = cls == c
+        out[:, act[members]] = np.multiply.outer(_blend(y, rho_sq, bx, params), scale[members])
     return out.reshape(grid.shape + grid.shape)
 
 
-def c_of_lambda(params: LambdaParams, L: float, n: int, *, dim: int = 1, nnode: int = 24) -> float:
-    """Grid estimate of the smallest c with |lambda_sym| <= c <x>^(1/s):
-    the maximum of |lambda_sym| / <x>^(1/s) over the sampled phase grid.
+def c_of_lambda(params: LambdaParams, L: float, n: int, *, nnode: int = 24) -> float:
+    """Grid estimate of the smallest c with |lambda_sym| <= c <x>^(1/s) in
+    one dimension: the maximum of |lambda_sym| / <x>^(1/s) over the n x n
+    phase grid on [-L, L).
 
-    In one dimension |lambda| = gate(|xi|) |blend(x, sign xi)| factorizes
-    over the product lattice, so the maximum is computed per factor; the
-    value equals the dense scan exactly."""
-    g = Grid(dim=dim, n=n, L=L)
-    if dim == 1:
-        gate = _freq_gate(np.abs(g.xi), params.h)
-        gmax = 0.0
-        for side in (g.xi > 0, g.xi < 0):
-            if np.any(side):
-                gmax = max(gmax, float(gate[side].max()))
-        bx = np.sqrt(1.0 + g.x * g.x)
-        vals = np.abs(_blend(g.x, np.zeros_like(g.x), bx, params, nnode))
-        return float(gmax * (vals / bx ** (1.0 / params.s)).max())
-    field = lambda_on_grid(g, params, nnode=nnode)
-    bx = np.sqrt(1.0 + g.x_norm**2) ** (1.0 / params.s)
-    flat = np.abs(field).reshape(g.node_count, g.node_count)
-    return float((flat.max(axis=1) / bx.ravel()).max())
+    |lambda| = gate(|xi|) |blend(x)| factorizes over the product lattice,
+    since the blend is odd in xi, so the maximum is computed per factor."""
+    g = Grid(dim=1, n=n, L=L)
+    bx = np.sqrt(1.0 + g.x * g.x)
+    vals = np.abs(_blend(g.x, np.zeros_like(g.x), bx, params, nnode))
+    return float(_freq_gate(np.abs(g.xi), params.h).max() * (vals / bx ** (1.0 / params.s)).max())
 
 
 # ---------------------------------------------------------------------------
 # transport check
-
-
-def _primitive_directions(grid: Grid, h: float) -> np.ndarray:
-    """Direction classes of every frequency node with |xi| >= 2h, as unit
-    vectors, reduced modulo scaling and antipodal symmetry."""
-    if grid.dim == 1:
-        return np.array([[1.0]])
-    K1, K2 = np.meshgrid(grid.k_int, grid.k_int, indexing="ij")
-    k = np.stack([K1.ravel(), K2.ravel()], axis=-1)
-    xin = np.sqrt(np.sum(k * k, axis=-1)) * grid.dxi
-    k = k[xin >= 2.0 * h]
-    if k.size == 0:
-        return np.zeros((0, 2))
-    g = np.gcd(np.abs(k[:, 0]), np.abs(k[:, 1]))
-    prim = k // g[:, None]
-    # canonical antipodal representative: first nonzero component positive
-    flip = (prim[:, 0] < 0) | ((prim[:, 0] == 0) & (prim[:, 1] < 0))
-    prim[flip] *= -1
-    prim = np.unique(prim, axis=0)
-    return prim / np.sqrt(np.sum(prim * prim, axis=-1))[:, None]
 
 
 def transport_sign_check(grid: Grid, params: LambdaParams, *, direction_cap: int = 4096, nnode: int = 16, seed: int = 0) -> dict:
@@ -393,15 +389,15 @@ def transport_sign_check(grid: Grid, params: LambdaParams, *, direction_cap: int
     violates the bound when it exceeds it by more than 4 ulp of the rate,
     the roundoff of the plateau identity.
     """
-    dirs = _primitive_directions(grid, params.h)
+    xpts, k = _lattice(grid)
+    k = k[np.sqrt(np.sum(k * k, axis=-1)) * grid.dxi >= 2.0 * params.h]
+    dirs, _, _ = _primitive_directions(k)
     total_dirs = dirs.shape[0]
     capped = total_dirs > direction_cap
     if capped:
         rng = np.random.default_rng(seed)
         dirs = dirs[rng.choice(total_dirs, size=direction_cap, replace=False)]
 
-    xs = grid.x_mesh if grid.dim == 2 else (grid.x,)
-    xpts = np.stack([a.ravel() for a in xs], axis=-1)
     xnorm2 = np.sum(xpts * xpts, axis=-1)
     bx = np.sqrt(1.0 + xnorm2)
     rate_ref = params.M * (1.0 + xnorm2) ** (0.5 * (1.0 / params.s - 1.0))

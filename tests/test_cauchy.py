@@ -278,6 +278,40 @@ def test_route_equivalence_at_quarter_horizon():
     assert np.max(np.abs(conj.u.values - plain.u.values)) <= 1e-6
 
 
+def _sourced_problem(with_source=True):
+    # manufactured u = (1 + t) e^(-x^2) of u_t = i u_xx + f
+    def f(t, x):
+        return np.exp(-x**2) - 1j * (1.0 + t) * (4.0 * x**2 - 2.0) * np.exp(-x**2)
+
+    return Problem(
+        dim=1, sigma=0.5, s0=2.0, a=(None,), b=None, f=f if with_source else None,
+        g=lambda x: np.exp(-x**2), T=0.5,
+    )
+
+
+def test_source_term_on_both_routes():
+    # the plain route is exact up to the solver tolerance, since
+    # Crank-Nicolson integrates a solution linear in t exactly; the
+    # conjugated route converges at second order in dt
+    g = Grid(dim=1, n=128, L=15.0)
+    exact = 1.5 * np.exp(-g.x**2)
+
+    def err(res):
+        assert not res.report["aborted"]
+        return float(np.max(np.abs(res.u.values - exact)))
+
+    assert err(solve(_sourced_problem(), g, 0.05, method="dense")) <= 1e-12
+    assert err(solve(_sourced_problem(), g, 0.05, method="krylov")) <= 1e-10
+    params = LambdaParams(M=1.0, h=12.0, s=1.8, sigma=0.5)
+    sched = ConjugationSchedule(M=1.0, Nconst=0.5, T=0.5, k0=2.0 * np.expm1(0.25))
+    errs = [err(solve_conjugated(_sourced_problem(), g, dt, params, sched)) for dt in (0.05, 0.025, 0.0125)]
+    assert errs[-1] <= 1e-3
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 3.5 <= coarse / fine <= 4.5
+    # dropping the source leaves an O(1) error: the source was used
+    assert err(solve_conjugated(_sourced_problem(False), g, 0.0125, params, sched)) >= 0.5
+
+
 def test_gronwall_check_unitary_run():
     g = Grid(dim=1, n=32, L=8.0)
     idx = GsIndices()

@@ -160,6 +160,21 @@ def test_conjugation_check_matches_conjugated_solve(tmp_path):
         assert row["min_eig"] == res.eig_samples[-1]["min_eig"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("conjugation-check", "--n", "64", "--h", "3,6,12"), ("sharpness",), ("norm-sweep",)],
+    ids=["conjugation-check", "sharpness", "norm-sweep"],
+)
+def test_threads_do_not_change_output(tmp_path, argv):
+    # the sweep workers must not change a byte of any artifact
+    files = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert main(["--out", str(out), "--threads", threads, *argv]) == 0
+        files[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert files["1"] == files["2"]
+
+
 def test_energy_plain(tmp_path):
     rc, report, out = _run(
         tmp_path, "energy", "--example", "1", "--n", "128", "--L", "15",

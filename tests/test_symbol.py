@@ -153,7 +153,7 @@ def test_lambda_sym_sign_against_direction():
 
 def test_c_of_lambda_frozen_value():
     # sup lambda / <x>^(1/2) at M=1, s=2, L=20; reference 1.73142296051497
-    v = c_of_lambda(P1, 20.0, 4096, dim=1)
+    v = c_of_lambda(P1, 20.0, 4096)
     assert v == pytest.approx(1.7314229605149696, rel=1e-9)
 
 
@@ -169,19 +169,25 @@ def test_lambda_on_grid_matches_pointwise():
             assert field[i, j] == pytest.approx(
                 lambda_sym(x, xi, p, dim=1), abs=1e-14
             )
-    g2 = Grid(dim=2, n=8, L=3.0)
-    field2 = lambda_on_grid(g2, p)
-    assert field2.shape == g2.shape + g2.shape
-    x1, x2 = g2.x_mesh
-    X = np.stack([x1.ravel(), x2.ravel()], axis=-1)
-    k1, k2 = g2.xi_mesh
-    K = np.stack([k1.ravel(), k2.ravel()], axis=-1)
-    flat = field2.reshape(64, 64)
-    nz = np.sqrt(np.sum(K * K, axis=-1)) > 0
-    idx = np.nonzero(nz)[0][:10]
-    for j in idx:
-        ref = lambda_sym(X, np.broadcast_to(K[j], X.shape), p)
-        assert np.max(np.abs(flat[:, j] - ref)) <= 1e-14
+    # every column; at n=16, L=5, h=2 the gate is closed, in transition
+    # and open on 37, 84 and 135 nodes, and 72 of the 88 direction
+    # classes hold nodes of both antipodal signs
+    lattices = (
+        (Grid(dim=2, n=8, L=3.0), p),
+        (Grid(dim=2, n=16, L=5.0), LambdaParams(M=1.0, h=2.0, s=1.8, sigma=0.5)),
+    )
+    for g2, p2 in lattices:
+        field2 = lambda_on_grid(g2, p2)
+        assert field2.shape == g2.shape + g2.shape
+        x1, x2 = g2.x_mesh
+        X = np.stack([x1.ravel(), x2.ravel()], axis=-1)
+        k1, k2 = g2.xi_mesh
+        K = np.stack([k1.ravel(), k2.ravel()], axis=-1)
+        flat = field2.reshape(g2.node_count, g2.node_count)
+        assert np.all(flat[:, 0] == 0.0)
+        for j in range(1, g2.node_count):
+            ref = lambda_sym(X, np.broadcast_to(K[j], X.shape), p2)
+            assert np.max(np.abs(flat[:, j] - ref)) <= 1e-14
 
 
 def test_transport_1d_exact_branch():
