@@ -22,7 +22,14 @@ only through the diagonal.  The conjugated generator is then
 with S(t)[i, j] = e^(k(t)(w_i - w_j)) acting entrywise: the diagonal
 similarity W M W^-1 with W = diag(e^(k(t) w)).  So the right-hand side
 applies G_v v = W E0 G(t) E0^-1 W^-1 v + k'(t) w v with two matrix-vector
-products around the FFT apply, and only the dense solve for v+ forms G_v.
+products around the FFT apply.  Since diag(w) commutes with W, the step
+matrix is the same similarity of an update of G(t),
+
+    I - h G_v(t) = W E0 [I - h (G(t) + k'(t) K)] E0^-1 W^-1,
+    K = E0^-1 diag(w) E0,
+
+so the dense solve for v+ factors the bracket, formed entrywise from the
+cached blocks of G, and G_v itself is built only for eigenvalue samples.
 Both routes share one Crank-Nicolson loop and its boundary contamination
 monitor, which watches u.  Energy accounting and an empirical decay-loss
 classifier live here too.
@@ -139,9 +146,9 @@ def _edge_fraction(values: np.ndarray) -> float:
 
 class _GeneratorPieces:
     """G(t) of the plain unknown u: frequency multipliers for apply, cached
-    dense blocks for dense.  It shares with ConjugatedGenerator the four
+    dense blocks for dense.  It shares with ConjugatedGenerator the five
     methods the Crank-Nicolson loop steps with: apply(t, v), dense(t),
-    source(t) and physical(t, v)."""
+    shifted_solve(t, h, rhs), source(t) and physical(t, v)."""
 
     def __init__(self, problem: Problem, grid: Grid):
         if problem.dim != grid.dim:
@@ -187,17 +194,21 @@ class _GeneratorPieces:
         return self._dense_lap, self._dense_derivs
 
     def dense(self, t: float) -> np.ndarray:
-        """G(t) as a dense matrix."""
+        """G(t) as a dense matrix, formed entrywise from the cached blocks."""
         lap, derivs = self._dense_blocks()
         mat = 1j * lap
         for ax in range(self.grid.dim):
             aco = self._sample(self.problem.a[ax], t)
             if aco is not None:
-                mat = mat - aco.ravel()[:, None] * derivs[ax]
+                mat -= aco.ravel()[:, None] * derivs[ax]
         bco = self._sample(self.problem.b, t)
         if bco is not None:
-            mat = mat - np.diag(bco.ravel())
+            mat.flat[:: mat.shape[0] + 1] -= bco.ravel()
         return mat
+
+    def shifted_solve(self, t: float, h: float, rhs: np.ndarray) -> np.ndarray:
+        """(I - h G(t))^-1 rhs for a flat rhs, by one dense LU."""
+        return np.linalg.solve(np.eye(self.grid.node_count, dtype=np.complex128) - h * self.dense(t), rhs)
 
 
 _GMRES_TOL = 1e-12
@@ -272,13 +283,15 @@ def _crank_nicolson(gen, v: StateVector, dt: float, nsteps: int, *, method: str,
     """The Crank-Nicolson loop of both routes; gen is a _GeneratorPieces or a
     ConjugatedGenerator.
 
-    "dense" solves against gen.dense(t+dt), and with eig_stride > 0 takes
-    gen.min_eig of that matrix every that many steps; "krylov" runs GMRES
-    on gen.apply and aborts when a step's true relative residual stays
-    above 1e-12.  About 50 samples trace the norms of v and the edge
-    fraction of gen.physical(t, v); the run aborts when that exceeds
-    max(1e-8, 100 * initial fraction), since a periodic box only represents
-    the whole-space problem while the state stays negligible at the edge.
+    "dense" takes each step with gen.shifted_solve(t+dt, dt/2, rhs), and
+    with eig_stride > 0 takes gen.min_eig(gen.dense(t)) at t=0, every that
+    many steps and at the last step, the only places a dense generator is
+    built; "krylov" runs GMRES on gen.apply and aborts when a step's true
+    relative residual stays above 1e-12.  About 50 samples trace the norms
+    of v and the edge fraction of gen.physical(t, v); the run aborts when
+    that exceeds max(1e-8, 100 * initial fraction), since a periodic box
+    only represents the whole-space problem while the state stays
+    negligible at the edge.
     Returns v, the trace, the eig samples and the shared report keys.
     """
     grid = v.grid
@@ -293,7 +306,6 @@ def _crank_nicolson(gen, v: StateVector, dt: float, nsteps: int, *, method: str,
 
     aborted = False
     reason = None
-    eye = np.eye(grid.node_count, dtype=np.complex128) if method == "dense" else None
     applies: list[int] = []
     worst_relres = 0.0
 
@@ -306,10 +318,9 @@ def _crank_nicolson(gen, v: StateVector, dt: float, nsteps: int, *, method: str,
         if fmid is not None:
             rhs = rhs + dt * fmid
         if method == "dense":
-            g_next = gen.dense(t_next)
-            vals = np.linalg.solve(eye - 0.5 * dt * g_next, rhs.ravel())
+            vals = gen.shifted_solve(t_next, 0.5 * dt, rhs.ravel())
             if eig_stride > 0 and ((k + 1) % eig_stride == 0 or last):
-                eig_samples.append({"t": t_next, "min_eig": gen.min_eig(g_next)})
+                eig_samples.append({"t": t_next, "min_eig": gen.min_eig(gen.dense(t_next))})
         else:
             calls = 0
 
@@ -394,16 +405,21 @@ class ConjugatedResult:
 
 class ConjugatedGenerator:
     """G_v(t) of the weighted unknown v = E(t) u (module docstring) for one
-    weight pair and schedule, with w = <x>_h^(1-sigma).  E0 and its inverse
-    are held for the run; E0 must pass the conditioning cap."""
+    weight pair and schedule, with w = <x>_h^(1-sigma).  E0, its inverse
+    and its 2-norm condition number cond_e0 are held for the run; E0 must
+    pass the conditioning cap.  K = E0^-1 diag(w) E0 is built by the first
+    shifted_solve."""
 
     def __init__(self, problem: Problem, pair: WeightPair, params: LambdaParams, schedule: ConjugationSchedule, *, cond_cap: float = 1e12):
         self.pieces = _GeneratorPieces(problem, pair.grid)
         self.grid = pair.grid
         self.e0 = pair.e0.matrix
-        self.e0inv = pair.inverse(cond_cap=cond_cap).matrix
+        inv = pair.inverse(cond_cap=cond_cap)
+        self.e0inv = inv.matrix
+        self.cond_e0 = inv.cond
         self.schedule = schedule
         self.w = (np.sqrt(params.h**2 + pair.grid.x_norm**2) ** (1.0 - params.sigma)).ravel()
+        self._k_mat = None
 
     def weight(self, t: float) -> np.ndarray:
         """e^(k(t) w) per node: the diagonal factor of E(t)."""
@@ -421,10 +437,25 @@ class ConjugatedGenerator:
         return out.reshape(self.grid.shape)
 
     def dense(self, t: float) -> np.ndarray:
-        """G_v(t) as a dense matrix."""
-        core = self.e0 @ self.pieces.dense(t) @ self.e0inv
-        s_fac = np.exp(self.schedule.k(t) * (self.w[:, None] - self.w[None, :]))
-        return s_fac * core + np.diag(self.schedule.kprime(t) * self.w)
+        """G_v(t) as a dense matrix: two n^3 products, so the loop builds
+        it only for eigenvalue samples."""
+        mat = self.e0 @ self.pieces.dense(t) @ self.e0inv
+        mat *= np.exp(self.schedule.k(t) * (self.w[:, None] - self.w[None, :]))
+        mat.flat[:: mat.shape[0] + 1] += self.schedule.kprime(t) * self.w
+        return mat
+
+    def shifted_solve(self, t: float, h: float, rhs: np.ndarray) -> np.ndarray:
+        """(I - h G_v(t))^-1 rhs for a flat rhs, solved in the E0 frame
+        (module docstring): one LU of I - h (G(t) + k'(t) K) between the
+        maps E0^-1 W^-1 and W E0, without forming G_v."""
+        if self._k_mat is None:
+            self._k_mat = self.e0inv @ (self.w[:, None] * self.e0)
+        mat = self.pieces.dense(t)
+        mat += self.schedule.kprime(t) * self._k_mat
+        mat *= -h
+        mat.flat[:: mat.shape[0] + 1] += 1.0
+        wt = self.weight(t)
+        return wt * (self.e0 @ np.linalg.solve(mat, self.e0inv @ (rhs / wt)))
 
     def source(self, t: float) -> np.ndarray | None:
         """E(t) f(t) on grid.shape, or None for a homogeneous problem."""
@@ -434,9 +465,12 @@ class ConjugatedGenerator:
         return (self.weight(t) * (self.e0 @ f.ravel())).reshape(self.grid.shape)
 
     def min_eig(self, gv: np.ndarray) -> float:
-        """Smallest eigenvalue of the Hermitian part of i Lap - gv."""
+        """Smallest eigenvalue of the Hermitian part of i Lap - gv, formed
+        in gv's own storage: gv is overwritten."""
         lap, _ = self.pieces._dense_blocks()
-        return hermitian_min_eig(DenseOp(self.grid, 1j * lap - gv, "composite"))
+        gv *= -1
+        gv += 1j * lap
+        return hermitian_min_eig(DenseOp(self.grid, gv, "composite"))
 
 
 def solve_conjugated(problem: Problem, grid: Grid, dt: float, params: LambdaParams, schedule: ConjugationSchedule, *, indices: Sequence[GsIndices] = (), eig_stride: int = 0) -> ConjugatedResult:
@@ -445,12 +479,14 @@ def solve_conjugated(problem: Problem, grid: Grid, dt: float, params: LambdaPara
     E(t) = diag(e^(k(t) w)) E0 with w = <x>_h^(1-sigma) and E0 the direct
     quantization of e^lam.  The run refuses to start unless the
     quantization remainder of the weight is below 1 and E0 passes the
-    conditioning cap.  Each step solves densely against G_v.  With
-    eig_stride > 0, the smallest eigenvalue of the Hermitian part of
-    i Lap - G_v is recorded every that many steps; its uniform lower bound
-    is the discrete form of the energy inequality the weight is designed
-    to produce.  The trace holds the norms of v; the boundary monitor
-    watches u, as in solve, since the weight lifts v toward the edge.
+    conditioning cap.  Each step takes one dense LU in the E0 frame
+    (ConjugatedGenerator.shifted_solve).  With eig_stride > 0, the
+    smallest eigenvalue of the Hermitian part of i Lap - G_v is recorded
+    every that many steps; its uniform lower bound is the discrete form of
+    the energy inequality the weight is designed to produce.  The report
+    carries cond_e0, the condition number the cap was checked on.  The
+    trace holds the norms of v; the boundary monitor watches u, as in
+    solve, since the weight lifts v toward the edge.
     """
     if abs(schedule.T - problem.T) > 1e-12:
         raise ValueError("schedule horizon differs from problem horizon")
@@ -477,6 +513,7 @@ def solve_conjugated(problem: Problem, grid: Grid, dt: float, params: LambdaPara
         "method": "conjugated-dense",
         **stepping,
         "remainder_norm": rem,
+        "cond_e0": gen.cond_e0,
         "min_eig_floor": min((e["min_eig"] for e in eig_samples), default=None),
         "final_l2_u": u.l2_norm(),
         "final_l2_v": v.l2_norm(),

@@ -239,7 +239,9 @@ def _cmd_symbol_check(args, out: Path) -> dict:
     params = LambdaParams(M=args.M, h=args.h, s=args.s, sigma=args.sigma)
     grid = Grid(dim=args.dim, n=args.n, L=args.L)
     tres = transport_sign_check(grid, params, direction_cap=args.cap, nnode=args.nnode, seed=args.seed)
-    clam = c_of_lambda(params, args.L, min(args.n, 256), nnode=args.nnode)
+    # a 1-D figure whatever --dim is; the report names its lattice
+    clam_n = min(args.n, 256)
+    clam = c_of_lambda(params, args.L, clam_n, nnode=args.nnode)
 
     xs = grid.x
     refs = [2.0 * args.h, 4.0 * args.h, -2.0 * args.h, -4.0 * args.h]
@@ -260,6 +262,7 @@ def _cmd_symbol_check(args, out: Path) -> dict:
         "transport": {k: v for k, v in tres.items() if k != "worst"},
         "worst_points": tres["worst"],
         "c_of_lambda": clam,
+        "c_of_lambda_lattice": {"dim": 1, "n": clam_n},
         "pass": tres["pass"],
     }
     _write_json(out / "report.json", report)
@@ -323,6 +326,7 @@ def _cmd_energy(args, out: Path) -> dict:
         )
         extra = {
             "remainder_norm": res.report["remainder_norm"],
+            "cond_e0": res.report["cond_e0"],
             "min_eig_floor": res.report["min_eig_floor"],
             "eig_samples": res.eig_samples,
         }

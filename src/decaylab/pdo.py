@@ -46,11 +46,13 @@ def _check_size(grid: Grid) -> None:
 class DenseOp:
     """A dense matrix acting on flattened spatial states, with a tag
     recording how it was built: kn, reverse, multiplier, pointwise, or
-    composite."""
+    composite.  cond is its 2-norm condition number when the function
+    that made it computed one (inverse does), else None."""
 
     grid: Grid
     matrix: np.ndarray
     tag: str
+    cond: float | None = None
 
     def __post_init__(self) -> None:
         _check_size(self.grid)
@@ -90,7 +92,12 @@ def assemble_dense(grid: Grid, kind: str, sym: np.ndarray) -> DenseOp:
 
     kind: "kn" or "reverse" with a full phase-space symbol, "multiplier"
     with frequency values on grid.shape, "pointwise" with spatial values
-    on grid.shape."""
+    on grid.shape.
+
+    A multiplier's sum c (W diag(m) V)[j, l] = n^-d sum_k m_k
+    e^(2 pi i k.(j - l)/n) depends only on (j - l) mod n, so its matrix is
+    gathered from ifftn(m): circulant in 1-D, block-circulant with
+    circulant blocks in 2-D."""
     _check_size(grid)
     n = grid.node_count
     if kind == "pointwise":
@@ -98,17 +105,23 @@ def assemble_dense(grid: Grid, kind: str, sym: np.ndarray) -> DenseOp:
         if vals.shape != grid.shape:
             raise ValueError(f"pointwise symbol must have shape {grid.shape}")
         return DenseOp(grid, np.diag(vals.ravel().astype(np.complex128)), "pointwise")
+    if kind == "multiplier":
+        vals = np.asarray(sym)
+        if vals.shape != grid.shape:
+            raise ValueError(f"multiplier symbol must have shape {grid.shape}")
+        col = np.fft.ifftn(vals)
+        j = np.arange(grid.n)
+        lag = (j[:, None] - j[None, :]) % grid.n
+        if grid.dim == 1:
+            mat = col[lag]
+        else:
+            mat = col[lag[:, None, :, None], lag[None, :, None, :]].reshape(n, n)
+        return DenseOp(grid, mat, "multiplier")
 
     xf, xif = _flat_coords(grid)
     scale = (grid.dxi / (2.0 * np.pi)) ** grid.dim
     W = np.exp(1j * (xf @ xif.T))
     V = np.exp(-1j * (xif @ xf.T)) * grid.dx**grid.dim
-    if kind == "multiplier":
-        vals = np.asarray(sym)
-        if vals.shape != grid.shape:
-            raise ValueError(f"multiplier symbol must have shape {grid.shape}")
-        mat = (W * vals.ravel()[None, :]) @ V * scale
-        return DenseOp(grid, mat, "multiplier")
     s = _sym_flat(grid, sym)
     if kind == "kn":
         mat = (s * W) @ V * scale
@@ -124,11 +137,13 @@ def adjoint(a: DenseOp) -> DenseOp:
 
 
 def inverse(a: DenseOp, *, cond_cap: float = 1e12) -> DenseOp:
+    """a^-1, refused unless cond(a) < cond_cap; the result carries cond(a),
+    which is also its own condition number."""
     c = float(np.linalg.cond(a.matrix))
     if not (c < cond_cap):
         raise ValueError(f"condition number {c:.3e} exceeds cap {cond_cap:.1e}")
     inv = np.linalg.solve(a.matrix, np.eye(a.matrix.shape[0], dtype=np.complex128))
-    return DenseOp(a.grid, inv, "composite")
+    return DenseOp(a.grid, inv, "composite", cond=c)
 
 
 def power_iteration_norm(mat: np.ndarray, *, iters: int = 20, tol: float = 1e-6, seed: int = 0) -> float:

@@ -220,20 +220,74 @@ def test_conjugated_generator_with_closed_gate():
     assert gen.weight(t)[origin] == pytest.approx(np.exp(sched.k(t) * 15.0**0.5), rel=1e-14)
 
 
-def test_conjugated_generator_apply_matches_dense():
-    # the right-hand side applies G_v matrix-free through the diagonal
-    # similarity; with the gate open it must equal the dense G_v
+def _open_gate_generator():
+    # criterion 8's smallest lattice: the gate is open inside the band
     ep = example1(0.5, 1.8)
     g = Grid(dim=1, n=128, L=15.0)
     params = LambdaParams(M=1.0, h=12.0, s=1.8, sigma=0.5)
     sched = ConjugationSchedule(M=1.0, Nconst=0.5, T=0.5, k0=2.0 * np.expm1(0.25))
     pair = WeightPair(g, lambda_on_grid(g, params))
+    return ConjugatedGenerator(ep.problem, pair, params, sched), pair, sched
+
+
+def test_conjugated_generator_apply_matches_dense():
+    # the right-hand side applies G_v matrix-free through the diagonal
+    # similarity; with the gate open it must equal the dense G_v
+    gen, pair, _ = _open_gate_generator()
+    g = gen.grid
     assert pair.remainder_norm() > 0.0
-    gen = ConjugatedGenerator(ep.problem, pair, params, sched)
     v = StateVector(g, np.exp(-g.x**2 / 4.0) * (1.0 + 0.5j * g.x))
     for t in (0.0, 0.3):
         want = gen.dense(t) @ v.values
         assert np.max(np.abs(gen.apply(t, v) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_conjugated_shifted_solve_matches_dense():
+    # the step solve runs in the E0 frame without forming G_v; it must
+    # equal the solve against I - h G_v(t) assembled densely
+    gen, pair, _ = _open_gate_generator()
+    g = gen.grid
+    rng = np.random.default_rng(11)
+    rhs = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+    for t, h in ((0.0125, 0.00625), (0.3, 0.025)):
+        want = np.linalg.solve(np.eye(g.n) - h * gen.dense(t), rhs)
+        got = gen.shifted_solve(t, h, rhs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert gen.cond_e0 == float(np.linalg.cond(pair.e0.matrix))
+
+
+def test_conjugated_min_eig_matches_out_of_place_formula():
+    # dense and min_eig work in place; the values must be bit for bit those
+    # of S(t) * (E0 G E0^-1) + k'(t) diag(w) and of i Lap - G_v
+    gen, _, sched = _open_gate_generator()
+    t = 0.3
+    s_fac = np.exp(sched.k(t) * (gen.w[:, None] - gen.w[None, :]))
+    gv = s_fac * (gen.e0 @ gen.pieces.dense(t) @ gen.e0inv) + np.diag(sched.kprime(t) * gen.w)
+    assert np.array_equal(gen.dense(t), gv)
+    lap, _ = gen.pieces._dense_blocks()
+    want = hermitian_min_eig(DenseOp(gen.grid, 1j * lap - gv, "composite"))
+    assert gen.min_eig(gen.dense(t)) == want
+
+
+@pytest.mark.parametrize("eig_stride, samples", [(0, 0), (7, 7)])
+def test_conjugated_run_builds_g_v_only_at_eig_samples(monkeypatch, eig_stride, samples):
+    # 40 steps: with stride 7 the samples are t=0, steps 7..35 and the last
+    calls = []
+    dense = ConjugatedGenerator.dense
+
+    def counted(self, t):
+        calls.append(t)
+        return dense(self, t)
+
+    monkeypatch.setattr(ConjugatedGenerator, "dense", counted)
+    ep = example1(0.5, 1.8)
+    g = Grid(dim=1, n=128, L=15.0)
+    params = LambdaParams(M=1.0, h=12.0, s=1.8, sigma=0.5)
+    sched = ConjugationSchedule(M=1.0, Nconst=0.5, T=0.5, k0=2.0 * np.expm1(0.25))
+    res = solve_conjugated(ep.problem, g, 0.0125, params, sched, eig_stride=eig_stride)
+    assert res.report["steps_taken"] == 40
+    assert len(res.eig_samples) == samples
+    assert calls == [e["t"] for e in res.eig_samples]
 
 
 def test_conjugated_route_horizon_mismatch():

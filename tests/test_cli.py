@@ -130,6 +130,7 @@ def test_symbol_check(tmp_path):
     assert rc == 0
     assert report["transport"]["violations"] == 0
     assert report["c_of_lambda"] > 0
+    assert report["c_of_lambda_lattice"] == {"dim": 1, "n": 64}
     assert (out / "symbol_field.csv").is_file()
     assert (out / "symbol_field.svg").is_file()
 
@@ -197,6 +198,22 @@ def test_energy_conjugated(tmp_path):
     assert np.isfinite(report["min_eig_floor"])
     assert len(report["eig_samples"]) >= 3
     assert report["aborted"] is False and report["abort_reason"] is None
+
+
+def test_energy_conjugated_rerun_is_byte_identical(tmp_path):
+    args = [
+        "energy", "--example", "1", "--conjugated", "--n", "128", "--L", "15", "--h", "12",
+        "--dt", "0.0125", "--eig-stride", "5",
+    ]
+    files = {}
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main(["--out", str(out), *args]) == 0
+        files[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(files["a"]) == ["report.json", "trace.csv", "trace.svg"]
+    assert files["a"] == files["b"]
+    report = json.loads(files["a"]["report.json"])
+    assert 1.0 <= report["cond_e0"] < 1e12
 
 
 def test_energy_conjugated_default_run_reports_no_abort(tmp_path):

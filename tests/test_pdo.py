@@ -55,6 +55,25 @@ def test_multiplier_matches_fft_route():
     assert np.max(np.abs(via_mat.values - via_fft.values)) <= 1e-10
 
 
+def test_multiplier_is_block_circulant_2d():
+    # the multiplier matrix is gathered from ifftn(m); it must equal the
+    # defining sum c W diag(m) V, and its (j1, l1) block depends only on
+    # (j1 - l1) mod n and is itself circulant
+    g = Grid(dim=2, n=8, L=3.0)
+    rng = np.random.default_rng(7)
+    m = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    x = np.stack([a.ravel() for a in g.x_mesh], axis=-1)
+    xi = np.stack([a.ravel() for a in g.xi_mesh], axis=-1)
+    W = np.exp(1j * (x @ xi.T))
+    V = np.exp(-1j * (xi @ x.T)) * g.dx**2
+    want = (g.dxi / (2.0 * np.pi)) ** 2 * (W * m.ravel()[None, :]) @ V
+    mat = assemble_dense(g, "multiplier", m).matrix
+    assert np.max(np.abs(mat - want)) <= 1e-12 * np.max(np.abs(want))
+    blocks = mat.reshape(g.shape + g.shape)  # [j1, j2, l1, l2]
+    for outer, inner in ((0, 2), (1, 3)):
+        assert np.array_equal(np.roll(blocks, 1, axis=(outer, inner)), blocks)
+
+
 def test_pointwise_is_diagonal():
     g = Grid(dim=1, n=32, L=4.0)
     v = np.exp(-g.x**2) + 2.0
