@@ -342,6 +342,7 @@ def _cmd_energy(args, out: Path) -> dict:
         "argmax_t": gron["argmax_t"],
         "aborted": res.report["aborted"],
         "abort_reason": res.report["abort_reason"],
+        "gmres": res.report["gmres"],
         **extra,
         "pass": bool(np.isfinite(gron["C0"])) and not res.report["aborted"],
     }

@@ -1,7 +1,11 @@
 """Stepper, conjugated route, energy accounting, loss classifier."""
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
+from decaylab import cauchy
 from decaylab.cauchy import (
     Problem,
     ConjugatedGenerator,
@@ -14,7 +18,7 @@ from decaylab.cauchy import (
     estimate_loss_delta,
 )
 from decaylab.examples import example1, example2, _family
-from decaylab.grid import Grid, StateVector, forward_dft, inverse_dft, sample
+from decaylab.grid import Grid, StateVector, apply_multiplier, forward_dft, inverse_dft, sample
 from decaylab.gsnorm import GsIndices
 from decaylab.pdo import DenseOp, WeightPair, assemble_dense, hermitian_min_eig
 from decaylab.symbol import ConjugationSchedule, LambdaParams, lambda_on_grid
@@ -116,17 +120,84 @@ def test_gmres_reports_true_residual():
     n = 40
     a = 4.0 * np.eye(n) + (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    y0 = np.zeros(n, dtype=np.complex128)
 
     def relres_of(x):
         return float(np.linalg.norm(b - a @ x) / np.linalg.norm(b))
 
-    x, relres = _gmres(lambda v: a @ v, b, np.zeros(n, dtype=np.complex128))
+    def plain(y):
+        return a @ y, y
+
+    x, relres = _gmres(plain, b, y0)
     assert relres <= 1e-12
     assert relres == relres_of(x)
     # a budget too small to converge still reports the residual it reached
-    x, relres = _gmres(lambda v: a @ v, b, np.zeros(n, dtype=np.complex128), restart=2, max_restarts=1)
+    x, relres = _gmres(plain, b, y0, restart=2, max_restarts=1)
     assert relres > 1e-12
     assert relres == relres_of(x)
+    # a diagonal right preconditioner: x is P y of the last apply, and
+    # relres is the true residual of that x, not of y
+    p = 1.0 / (1.0 + 1j * np.linspace(0.0, 5.0, n))
+    ys = []
+
+    def preconditioned(y):
+        ys.append(y)
+        return a @ (p * y), p * y
+
+    x, relres = _gmres(preconditioned, b, y0)
+    assert relres <= 1e-12
+    assert np.array_equal(x, p * ys[-1])
+    assert relres == relres_of(x)
+
+
+def test_stalled_step_solve_aborts(monkeypatch):
+    # one Arnoldi step and one cycle cannot reach 1e-12: the first step's
+    # true residual stays above it and the run stops there
+    monkeypatch.setattr(cauchy, "_gmres", functools.partial(_gmres, restart=1, max_restarts=1))
+    res = solve(example1(0.5, 1.8).problem, Grid(dim=1, n=128, L=15.0), 0.025)
+    assert res.report["aborted"]
+    assert "iterative step solve stalled" in res.report["abort_reason"]
+    assert res.report["gmres"]["worst_relres"] > 1e-12
+
+
+def test_preconditioned_step_cost(monkeypatch):
+    # the free Crank-Nicolson solve as right preconditioner: at this dt the
+    # residual falls about 80-fold per Arnoldi step, so a step takes six of
+    # them plus the first and the last apply (35 applies unpreconditioned);
+    # each apply makes one multiplier call per coefficient call
+    ep = example1(0.5, 1.8)
+    counts = {"mult": 0, "coeff": 0}
+    per_apply = []
+
+    def counted(fn):
+        def wrapped(*args):
+            counts["coeff"] += 1
+            return fn(*args)
+
+        return wrapped
+
+    def counted_mult(u, m):
+        counts["mult"] += 1
+        return apply_multiplier(u, m)
+
+    precond_apply = _GeneratorPieces.preconditioned_apply
+
+    def counted_apply(self, t, h, y):
+        before = dict(counts)
+        out = precond_apply(self, t, h, y)
+        per_apply.append((counts["mult"] - before["mult"], counts["coeff"] - before["coeff"]))
+        return out
+
+    monkeypatch.setattr(cauchy, "apply_multiplier", counted_mult)
+    monkeypatch.setattr(_GeneratorPieces, "preconditioned_apply", counted_apply)
+    prob = dataclasses.replace(ep.problem, a=tuple(counted(f) for f in ep.problem.a), b=counted(ep.problem.b))
+    res = solve(prob, Grid(dim=1, n=256, L=20.0), 0.025)
+    assert not res.report["aborted"]
+    gm = res.report["gmres"]
+    assert gm["applies_per_step"]["mean"] <= 8
+    assert gm["worst_relres"] <= 1e-12
+    assert len(per_apply) == round(gm["applies_per_step"]["mean"] * res.report["steps_taken"])
+    assert all(m == c == 2 for m, c in per_apply)
 
 
 def test_cn_order_two_against_spectral_propagator():

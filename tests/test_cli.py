@@ -185,6 +185,21 @@ def test_energy_plain(tmp_path):
     assert np.isfinite(report["C0"])
     assert report["C0"] >= 1.0
     assert (out / "trace.csv").is_file()
+    gm = report["gmres"]
+    assert gm["worst_relres"] <= 1e-12
+    assert 1 <= gm["applies_per_step"]["min"] <= gm["applies_per_step"]["mean"] <= gm["applies_per_step"]["max"]
+
+
+def test_energy_plain_rerun_is_byte_identical(tmp_path):
+    args = ["energy", "--example", "1", "--n", "128", "--L", "15", "--dt", "0.0125", "--T", "0.25"]
+    files = {}
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main(["--out", str(out), *args]) == 0
+        files[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(files["a"]) == ["report.json", "trace.csv", "trace.svg"]
+    assert files["a"] == files["b"]
+    assert json.loads(files["a"]["report.json"])["gmres"]["worst_relres"] <= 1e-12
 
 
 def test_energy_conjugated(tmp_path):
@@ -198,6 +213,7 @@ def test_energy_conjugated(tmp_path):
     assert np.isfinite(report["min_eig_floor"])
     assert len(report["eig_samples"]) >= 3
     assert report["aborted"] is False and report["abort_reason"] is None
+    assert report["gmres"] is None
 
 
 def test_energy_conjugated_rerun_is_byte_identical(tmp_path):
