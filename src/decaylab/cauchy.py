@@ -22,17 +22,12 @@ only through the diagonal.  The conjugated generator is then
     G_v(t) = S(t) * (E0 G(t) E0^-1) + k'(t) diag(w),
 
 with S(t)[i, j] = e^(k(t)(w_i - w_j)) acting entrywise: the diagonal
-similarity W M W^-1 with W = diag(e^(k(t) w)).  So the right-hand side
-applies G_v v = W E0 G(t) E0^-1 W^-1 v + k'(t) w v with two matrix-vector
-products around the FFT apply.  Since diag(w) commutes with W, the step
-matrix is the same similarity of an update of G(t),
-
-    I - h G_v(t) = W E0 [I - h (G(t) + k'(t) K)] E0^-1 W^-1,
-    K = E0^-1 diag(w) E0,
-
-so the dense solve for v+ factors the bracket, formed entrywise from the
-cached blocks of G, and G_v itself is built only for eigenvalue samples.
-Both routes share one Crank-Nicolson loop and its boundary contamination
+similarity W M W^-1 with W = diag(e^(k(t) w)).  So G_v applies matrix-free,
+G_v v = W E0 G(t) E0^-1 W^-1 v + k'(t) w v, with two matrix-vector products
+around the FFT apply.  E0 is close to the identity, so G_v differs from G by
+lower-order terms and the same free step P preconditions its GMRES step
+solve; G_v itself is built only for eigenvalue samples.  Both routes share
+one Crank-Nicolson loop, its step solver and its boundary contamination
 monitor, which watches u.  Energy accounting and an empirical decay-loss
 classifier live here too.
 """
@@ -149,9 +144,8 @@ def _edge_fraction(values: np.ndarray) -> float:
 class _GeneratorPieces:
     """G(t) of the plain unknown u: frequency multipliers for apply, cached
     dense blocks for dense.  It shares with ConjugatedGenerator the five
-    methods the Crank-Nicolson loop steps with: apply(t, v), dense(t),
-    shifted_solve(t, h, rhs), source(t) and physical(t, v); only it has
-    the Krylov branch's preconditioned_apply(t, h, y)."""
+    methods the Crank-Nicolson loop steps with: apply(t, v),
+    preconditioned_apply(t, h, y), dense(t), source(t) and physical(t, v)."""
 
     def __init__(self, problem: Problem, grid: Grid):
         if problem.dim != grid.dim:
@@ -181,13 +175,18 @@ class _GeneratorPieces:
             out = out - bco * u.values
         return out
 
-    def preconditioned_apply(self, t: float, h: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(A P y, P y) for a flat y: A = I - h G(t), P = 1 / (1 + i h |xi|^2)
-        the free step, so A P y = y + h (a . (dP) y + b P y), no Laplacian."""
+    def free_step(self, h: float) -> tuple[np.ndarray, list[np.ndarray]]:
+        """(P, dP): the free step P = 1 / (1 + i h |xi|^2) and its product
+        with each derivative multiplier, cached for the last h."""
         if self._precond is None or self._precond[0] != h:
             p = 1.0 / (1.0 + 1j * h * self.grid.xi_norm**2)
             self._precond = (h, p, [m * p for m in self.deriv_mults])
-        _, p, dps = self._precond
+        return self._precond[1], self._precond[2]
+
+    def preconditioned_apply(self, t: float, h: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(A P y, P y) for a flat y: A = I - h G(t), P the free step, so
+        A P y = y + h (a . (dP) y + b P y), no Laplacian."""
+        p, dps = self.free_step(h)
         st = StateVector(self.grid, y.reshape(self.grid.shape))
         py = apply_multiplier(st, p).values
         lower = np.zeros_like(py)
@@ -228,10 +227,6 @@ class _GeneratorPieces:
         if bco is not None:
             mat.flat[:: mat.shape[0] + 1] -= bco.ravel()
         return mat
-
-    def shifted_solve(self, t: float, h: float, rhs: np.ndarray) -> np.ndarray:
-        """(I - h G(t))^-1 rhs for a flat rhs, by one dense LU."""
-        return np.linalg.solve(np.eye(self.grid.node_count, dtype=np.complex128) - h * self.dense(t), rhs)
 
 
 _GMRES_TOL = 1e-12
@@ -311,16 +306,15 @@ def _crank_nicolson(gen, v: StateVector, dt: float, nsteps: int, *, method: str,
     """The Crank-Nicolson loop of both routes; gen is a _GeneratorPieces or a
     ConjugatedGenerator.
 
-    "dense" takes each step with gen.shifted_solve(t+dt, dt/2, rhs), and
-    with eig_stride > 0 takes gen.min_eig(gen.dense(t)) at t=0, every that
-    many steps and at the last step, the only places a dense generator is
-    built; "krylov" runs GMRES on gen.preconditioned_apply(t+dt, dt/2, y)
-    from y0 = rhs (A P = I + O(dt)) and aborts when a step's true relative
-    residual stays above 1e-12.  About 50 samples trace the norms of v and
-    the edge fraction of gen.physical(t, v); the run aborts when that
-    exceeds max(1e-8, 100 * initial fraction), since a periodic box only
-    represents the whole-space problem while the state stays negligible at
-    the edge.
+    "krylov" runs GMRES on gen.preconditioned_apply(t+dt, dt/2, y) from
+    y0 = rhs (A P = I + O(dt)) and aborts when a step's true relative
+    residual stays above 1e-12; "dense", the reference, solves against
+    I - dt/2 gen.dense(t+dt).  With eig_stride > 0 the loop takes
+    gen.min_eig(gen.dense(t)) at t=0, every that many steps and at the last
+    step.  About 50 samples trace the norms of v and the edge fraction of
+    gen.physical(t, v); the run aborts when that exceeds
+    max(1e-8, 100 * initial fraction), since a periodic box only represents
+    the whole-space problem while the state stays negligible at the edge.
     Returns v, the trace, the eig samples and the shared report keys.
     """
     grid = v.grid
@@ -347,9 +341,7 @@ def _crank_nicolson(gen, v: StateVector, dt: float, nsteps: int, *, method: str,
         if fmid is not None:
             rhs = rhs + dt * fmid
         if method == "dense":
-            vals = gen.shifted_solve(t_next, 0.5 * dt, rhs.ravel())
-            if eig_stride > 0 and ((k + 1) % eig_stride == 0 or last):
-                eig_samples.append({"t": t_next, "min_eig": gen.min_eig(gen.dense(t_next))})
+            vals = np.linalg.solve(np.eye(grid.node_count, dtype=np.complex128) - 0.5 * dt * gen.dense(t_next), rhs.ravel())
         else:
             applies.append(0)
 
@@ -363,6 +355,8 @@ def _crank_nicolson(gen, v: StateVector, dt: float, nsteps: int, *, method: str,
                 aborted = True
                 reason = f"iterative step solve stalled at t={t_next:.6g}"
                 break
+        if eig_stride > 0 and ((k + 1) % eig_stride == 0 or last):
+            eig_samples.append({"t": t_next, "min_eig": gen.min_eig(gen.dense(t_next))})
         v = StateVector(grid, vals.reshape(grid.shape))
         t = t_next
         if (k + 1) % stride == 0 or last:
@@ -434,8 +428,7 @@ class ConjugatedGenerator:
     """G_v(t) of the weighted unknown v = E(t) u (module docstring) for one
     weight pair and schedule, with w = <x>_h^(1-sigma).  E0, its inverse
     and its 2-norm condition number cond_e0 are held for the run; E0 must
-    pass the conditioning cap.  K = E0^-1 diag(w) E0 is built by the first
-    shifted_solve."""
+    pass the conditioning cap."""
 
     def __init__(self, problem: Problem, pair: WeightPair, params: LambdaParams, schedule: ConjugationSchedule, *, cond_cap: float = 1e12):
         self.pieces = _GeneratorPieces(problem, pair.grid)
@@ -446,7 +439,6 @@ class ConjugatedGenerator:
         self.cond_e0 = inv.cond
         self.schedule = schedule
         self.w = (np.sqrt(params.h**2 + pair.grid.x_norm**2) ** (1.0 - params.sigma)).ravel()
-        self._k_mat = None
 
     def weight(self, t: float) -> np.ndarray:
         """e^(k(t) w) per node: the diagonal factor of E(t)."""
@@ -463,6 +455,13 @@ class ConjugatedGenerator:
         out = self.weight(t) * (self.e0 @ gu) + self.schedule.kprime(t) * self.w * v.values.ravel()
         return out.reshape(self.grid.shape)
 
+    def preconditioned_apply(self, t: float, h: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(A P y, P y) for a flat y: A = I - h G_v(t), P the plain route's
+        free step, and A P y formed through apply."""
+        p, _ = self.pieces.free_step(h)
+        py = apply_multiplier(StateVector(self.grid, y.reshape(self.grid.shape)), p)
+        return (py.values - h * self.apply(t, py)).ravel(), py.values.ravel()
+
     def dense(self, t: float) -> np.ndarray:
         """G_v(t) as a dense matrix: two n^3 products, so the loop builds
         it only for eigenvalue samples."""
@@ -470,19 +469,6 @@ class ConjugatedGenerator:
         mat *= np.exp(self.schedule.k(t) * (self.w[:, None] - self.w[None, :]))
         mat.flat[:: mat.shape[0] + 1] += self.schedule.kprime(t) * self.w
         return mat
-
-    def shifted_solve(self, t: float, h: float, rhs: np.ndarray) -> np.ndarray:
-        """(I - h G_v(t))^-1 rhs for a flat rhs, solved in the E0 frame
-        (module docstring): one LU of I - h (G(t) + k'(t) K) between the
-        maps E0^-1 W^-1 and W E0, without forming G_v."""
-        if self._k_mat is None:
-            self._k_mat = self.e0inv @ (self.w[:, None] * self.e0)
-        mat = self.pieces.dense(t)
-        mat += self.schedule.kprime(t) * self._k_mat
-        mat *= -h
-        mat.flat[:: mat.shape[0] + 1] += 1.0
-        wt = self.weight(t)
-        return wt * (self.e0 @ np.linalg.solve(mat, self.e0inv @ (rhs / wt)))
 
     def source(self, t: float) -> np.ndarray | None:
         """E(t) f(t) on grid.shape, or None for a homogeneous problem."""
@@ -506,14 +492,14 @@ def solve_conjugated(problem: Problem, grid: Grid, dt: float, params: LambdaPara
     E(t) = diag(e^(k(t) w)) E0 with w = <x>_h^(1-sigma) and E0 the direct
     quantization of e^lam.  The run refuses to start unless the
     quantization remainder of the weight is below 1 and E0 passes the
-    conditioning cap.  Each step takes one dense LU in the E0 frame
-    (ConjugatedGenerator.shifted_solve).  With eig_stride > 0, the
-    smallest eigenvalue of the Hermitian part of i Lap - G_v is recorded
-    every that many steps; its uniform lower bound is the discrete form of
-    the energy inequality the weight is designed to produce.  The report
-    carries cond_e0, the condition number the cap was checked on.  The
-    trace holds the norms of v; the boundary monitor watches u, as in
-    solve, since the weight lifts v toward the edge.
+    conditioning cap.  Each step runs the preconditioned GMRES of solve on
+    G_v, applied matrix-free, and the report carries its "gmres" block.
+    With eig_stride > 0, the smallest eigenvalue of the Hermitian part of
+    i Lap - G_v is recorded every that many steps; its uniform lower bound
+    is the discrete form of the energy inequality the weight is designed to
+    produce.  The report carries cond_e0, the condition number the cap was
+    checked on.  The trace holds the norms of v; the boundary monitor
+    watches u, as in solve, since the weight lifts v toward the edge.
     """
     if abs(schedule.T - problem.T) > 1e-12:
         raise ValueError("schedule horizon differs from problem horizon")
@@ -528,7 +514,7 @@ def solve_conjugated(problem: Problem, grid: Grid, dt: float, params: LambdaPara
     gvals = sample(grid, problem.g).values.ravel()
     v0 = StateVector(grid, (gen.weight(0.0) * (gen.e0 @ gvals)).reshape(grid.shape))
     v, trace, eig_samples, stepping = _crank_nicolson(
-        gen, v0, dt, nsteps, method="dense", indices=indices, eig_stride=eig_stride
+        gen, v0, dt, nsteps, method="krylov", indices=indices, eig_stride=eig_stride
     )
     u = StateVector(grid, gen.physical(stepping["final_time"], v))
     report = {
@@ -537,7 +523,7 @@ def solve_conjugated(problem: Problem, grid: Grid, dt: float, params: LambdaPara
         "dim": grid.dim,
         "dt": dt,
         "T": problem.T,
-        "method": "conjugated-dense",
+        "method": "conjugated-krylov",
         **stepping,
         "remainder_norm": rem,
         "cond_e0": gen.cond_e0,

@@ -22,7 +22,6 @@ __all__ = [
     "GsIndices",
     "NormResult",
     "SweepRow",
-    "bracket",
     "pigr_apply",
     "gs_norm_ex",
     "norm_box_sweep",
@@ -76,26 +75,6 @@ class SweepRow:
     norm: float
     log_norm: float
     overflow: bool
-
-
-def bracket(x, h: float = 1.0) -> float:
-    """Bracket <x>_h = sqrt(h^2 + |x|^2) of a point (scalar or vector).
-
-    h >= 1 is required; h = 1 is the plain bracket used by the norms here.
-
-    >>> bracket(0.0, 2.0)
-    2.0
-    >>> float(round(bracket((3.0, 4.0)) ** 2))
-    26.0
-    """
-    if not (h >= 1.0):
-        raise ValueError(f"h must be >= 1, got {h}")
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim == 0:
-        return float(np.hypot(h, a))
-    if a.ndim == 1:
-        return float(np.sqrt(h * h + np.sum(a * a)))
-    raise ValueError("bracket expects a scalar or a coordinate vector")
 
 
 def _space_bracket(grid: Grid) -> np.ndarray:

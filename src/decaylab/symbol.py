@@ -24,6 +24,7 @@ by checking each class once.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -125,11 +126,6 @@ class ConjugationSchedule:
         t = self._check_t(t)
         out = -self.Nconst * np.exp(-self.Nconst * t) * (self.k0 + self.M + 1.0)
         return float(out) if out.ndim == 0 else out
-
-    def ode_residual(self, t):
-        t = self._check_t(t)
-        out = self.kprime(t) + self.Nconst * np.asarray(self.k(t)) + self.Nconst * (self.M + 1.0)
-        return float(out) if np.ndim(out) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -445,84 +441,27 @@ def transport_sign_check(grid: Grid, params: LambdaParams, *, direction_cap: int
 # derivative growth check
 
 
-def _multi_indices(d: int, max_order: int) -> list[tuple[int, ...]]:
-    if d == 1:
-        return [(k,) for k in range(1, max_order + 1)]
-    out = []
-    for total in range(1, max_order + 1):
-        for i in range(total + 1):
-            out.append((total - i, i))
-    return out
+def gevrey_bound_check(fn, fixed_pts, diff_pts, *, theta: float, order: float = 0.0) -> dict:
+    """Fit the smallest C with |d^k fn| <= C^(k+1) (k!)^theta <arg>^(order - k)
+    over a 1-D sample, for k = 0, 1, 2.
 
-
-def _factorial_pow(beta: tuple[int, ...], theta: float) -> float:
-    f = 1.0
-    for b in beta:
-        for k in range(2, b + 1):
-            f *= k
-    return f**theta
-
-
-def gevrey_bound_check(fn, fixed_pts, diff_pts, *, theta: float, h: float = 1.0, order: float = 0.0, weight=None, max_order: int = 2, fd_frac: float = 1e-2) -> dict:
-    """Fit the smallest C with |D^beta fn| <= C^(|beta|+1) (beta!)^theta
-    <arg>_h^(order - |beta|) * weight over the sample, for |beta| <= max_order.
-
-    fn(fixed, diff) is differentiated in its second argument by central
-    differences with per-point steps proportional to the bracket scale.
-    Returns the fitted constants per multi-index and their maximum.
+    fn(fixed, diff) takes (npts, 1) columns and is differentiated in diff by
+    central differences with per-point steps of 1e-2 <diff>.  Returns the
+    fitted constants per order ("0", "1", "2") and their maximum.
     """
-    fixed = np.asarray(fixed_pts, dtype=np.float64)
-    diff = np.asarray(diff_pts, dtype=np.float64)
-    if diff.ndim == 1:
-        diff = diff[:, None]
-    if fixed.ndim == 1:
-        fixed = fixed[:, None]
-    d = diff.shape[-1]
-    npts = diff.shape[0]
-    bh = np.sqrt(h * h + np.sum(diff * diff, axis=-1))
-    wgt = np.asarray(weight(fixed), dtype=np.float64) if weight is not None else np.ones(npts)
-    step = fd_frac * bh
+    fixed = np.asarray(fixed_pts, dtype=np.float64).reshape(-1, 1)
+    diff = np.asarray(diff_pts, dtype=np.float64).reshape(-1, 1)
+    bh = np.sqrt(1.0 + diff[:, 0] * diff[:, 0])
+    step = 1e-2 * bh
 
-    def ev(offsets: np.ndarray) -> np.ndarray:
-        return np.asarray(fn(fixed, diff + offsets), dtype=np.float64)
+    def ev(offset: np.ndarray) -> np.ndarray:
+        return np.asarray(fn(fixed, diff + offset[:, None]), dtype=np.float64)
 
-    def unit(j: int) -> np.ndarray:
-        v = np.zeros((npts, d))
-        v[:, j] = step
-        return v
-
+    f0 = ev(np.zeros_like(step))
+    fp, fm = ev(step), ev(-step)
+    ders = (f0, (fp - fm) / (2.0 * step), (fp - 2.0 * f0 + fm) / step**2)
     per: dict[str, float] = {}
-    f0 = ev(np.zeros((npts, d)))
-    c0 = np.max(np.abs(f0) / (bh**order * wgt))
-    per["0" * d] = float(c0)
-    cmax = float(c0)
-    for beta in _multi_indices(d, max_order):
-        tot = sum(beta)
-        if d == 1:
-            (b1,) = beta
-            if b1 == 1:
-                der = (ev(unit(0)) - ev(-unit(0))) / (2.0 * step)
-            else:
-                der = (ev(unit(0)) - 2.0 * f0 + ev(-unit(0))) / step**2
-        else:
-            b1, b2 = beta
-            if (b1, b2) == (1, 0):
-                der = (ev(unit(0)) - ev(-unit(0))) / (2.0 * step)
-            elif (b1, b2) == (0, 1):
-                der = (ev(unit(1)) - ev(-unit(1))) / (2.0 * step)
-            elif (b1, b2) == (2, 0):
-                der = (ev(unit(0)) - 2.0 * f0 + ev(-unit(0))) / step**2
-            elif (b1, b2) == (0, 2):
-                der = (ev(unit(1)) - 2.0 * f0 + ev(-unit(1))) / step**2
-            else:
-                der = (
-                    ev(unit(0) + unit(1))
-                    - ev(unit(0) - unit(1))
-                    - ev(-unit(0) + unit(1))
-                    + ev(-unit(0) - unit(1))
-                ) / (4.0 * step * step)
-        env = _factorial_pow(beta, theta) * bh ** (order - tot) * wgt
-        c = float(np.max(np.abs(der) / env) ** (1.0 / (tot + 1.0)))
-        per["".join(str(b) for b in beta)] = c
-        cmax = max(cmax, c)
-    return {"C": cmax, "per_beta": per, "max_order": max_order, "h": h}
+    for k, der in enumerate(ders):
+        env = math.factorial(k) ** theta * bh ** (order - k)
+        per[str(k)] = float(np.max(np.abs(der) / env) ** (1.0 / (k + 1.0)))
+    return {"C": max(per.values()), "per_beta": per}

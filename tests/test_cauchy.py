@@ -150,12 +150,24 @@ def test_gmres_reports_true_residual():
     assert relres == relres_of(x)
 
 
-def test_stalled_step_solve_aborts(monkeypatch):
+def _stalling_plain_run():
+    return solve(example1(0.5, 1.8).problem, Grid(dim=1, n=128, L=15.0), 0.025)
+
+
+def _stalling_conjugated_run():
+    params = LambdaParams(M=1.0, h=12.0, s=1.8, sigma=0.5)
+    sched = ConjugationSchedule(M=1.0, Nconst=0.5, T=0.5, k0=2.0 * np.expm1(0.25))
+    return solve_conjugated(example1(0.5, 1.8).problem, Grid(dim=1, n=128, L=15.0), 0.025, params, sched)
+
+
+@pytest.mark.parametrize("run", [_stalling_plain_run, _stalling_conjugated_run], ids=["plain", "conjugated"])
+def test_stalled_step_solve_aborts(monkeypatch, run):
     # one Arnoldi step and one cycle cannot reach 1e-12: the first step's
-    # true residual stays above it and the run stops there
+    # true residual stays above it and the run stops there, on either route
     monkeypatch.setattr(cauchy, "_gmres", functools.partial(_gmres, restart=1, max_restarts=1))
-    res = solve(example1(0.5, 1.8).problem, Grid(dim=1, n=128, L=15.0), 0.025)
+    res = run()
     assert res.report["aborted"]
+    assert res.report["steps_taken"] == 0
     assert "iterative step solve stalled" in res.report["abort_reason"]
     assert res.report["gmres"]["worst_relres"] > 1e-12
 
@@ -245,7 +257,7 @@ def test_conjugated_boundary_monitor_aborts_on_tight_box():
     assert res.report["aborted"]
     assert "boundary" in res.report["abort_reason"]
     assert res.report["final_time"] < 1.0
-    assert res.report["gmres"] is None
+    assert res.report["gmres"]["worst_relres"] <= 1e-12
 
 
 def test_trace_columns_record_norms():
@@ -313,16 +325,18 @@ def test_conjugated_generator_apply_matches_dense():
         assert np.max(np.abs(gen.apply(t, v) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_conjugated_shifted_solve_matches_dense():
-    # the step solve runs in the E0 frame without forming G_v; it must
-    # equal the solve against I - h G_v(t) assembled densely
+def test_conjugated_preconditioned_step_matches_dense():
+    # one GMRES solve on G_v, applied matrix-free and preconditioned by the
+    # plain route's free step, must equal the solve against I - h G_v(t)
+    # assembled densely
     gen, pair, _ = _open_gate_generator()
     g = gen.grid
     rng = np.random.default_rng(11)
     rhs = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
     for t, h in ((0.0125, 0.00625), (0.3, 0.025)):
         want = np.linalg.solve(np.eye(g.n) - h * gen.dense(t), rhs)
-        got = gen.shifted_solve(t, h, rhs)
+        got, relres = _gmres(lambda y: gen.preconditioned_apply(t, h, y), rhs, rhs)
+        assert relres <= 1e-12
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert gen.cond_e0 == float(np.linalg.cond(pair.e0.matrix))
 
@@ -340,9 +354,19 @@ def test_conjugated_min_eig_matches_out_of_place_formula():
     assert gen.min_eig(gen.dense(t)) == want
 
 
-@pytest.mark.parametrize("eig_stride, samples", [(0, 0), (7, 7)])
-def test_conjugated_run_builds_g_v_only_at_eig_samples(monkeypatch, eig_stride, samples):
-    # 40 steps: with stride 7 the samples are t=0, steps 7..35 and the last
+@pytest.mark.parametrize(
+    "n, h, T, eig_stride, samples",
+    [
+        pytest.param(128, 12.0, 0.5, 0, 0, id="0-0"),
+        # 40 steps: with stride 7 the samples are t=0, steps 7..35 and the last
+        pytest.param(128, 12.0, 0.5, 7, 7, id="7-7"),
+        # criterion 8's largest lattice: 20 steps, samples at t=0 and every 5
+        pytest.param(512, 48.0, 0.25, 5, 5, id="criterion8-n512"),
+    ],
+)
+def test_conjugated_run_builds_g_v_only_at_eig_samples(monkeypatch, n, h, T, eig_stride, samples):
+    # the step solves apply G_v matrix-free, so G_v is built only for the
+    # eig samples, and the free-step preconditioner keeps GMRES short
     calls = []
     dense = ConjugatedGenerator.dense
 
@@ -351,14 +375,18 @@ def test_conjugated_run_builds_g_v_only_at_eig_samples(monkeypatch, eig_stride, 
         return dense(self, t)
 
     monkeypatch.setattr(ConjugatedGenerator, "dense", counted)
-    ep = example1(0.5, 1.8)
-    g = Grid(dim=1, n=128, L=15.0)
-    params = LambdaParams(M=1.0, h=12.0, s=1.8, sigma=0.5)
-    sched = ConjugationSchedule(M=1.0, Nconst=0.5, T=0.5, k0=2.0 * np.expm1(0.25))
+    ep = example1(0.5, 1.8, T=T)
+    g = Grid(dim=1, n=n, L=15.0)
+    params = LambdaParams(M=1.0, h=h, s=1.8, sigma=0.5)
+    sched = ConjugationSchedule(M=1.0, Nconst=0.5, T=T, k0=2.0 * np.expm1(0.5 * T))
     res = solve_conjugated(ep.problem, g, 0.0125, params, sched, eig_stride=eig_stride)
-    assert res.report["steps_taken"] == 40
+    assert res.report["steps_taken"] == round(T / 0.0125)
     assert len(res.eig_samples) == samples
     assert calls == [e["t"] for e in res.eig_samples]
+    assert res.report["method"] == "conjugated-krylov"
+    gm = res.report["gmres"]
+    assert gm["applies_per_step"]["mean"] <= 8
+    assert gm["worst_relres"] <= 1e-12
 
 
 def test_conjugated_route_horizon_mismatch():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decaylab.grid import Grid, StateVector, sample
-from decaylab.gsnorm import GsIndices, bracket, gs_norm_ex, norm_box_sweep, pigr_apply
+from decaylab.gsnorm import GsIndices, gs_norm_ex, norm_box_sweep, pigr_apply
 
 
 def gaussian_state(n=256, L=20.0):
@@ -21,14 +21,6 @@ def test_indices_validation():
         GsIndices(theta=0.5)
     idx = GsIndices(m1=1.0, m2=-0.5, rho1=0.0, rho2=2.0, s=1.8, theta=2.0)
     assert idx.label() == "H_1_-0.5_0_2_1.8_2"
-
-
-def test_bracket_values():
-    assert bracket(0.0) == 1.0
-    assert bracket(0.0, 2.0) == 2.0
-    assert bracket(np.array([3.0, 4.0])) == pytest.approx(np.sqrt(26.0), rel=1e-15)
-    with pytest.raises(ValueError):
-        bracket(1.0, 0.5)
 
 
 def test_zero_indices_is_identity():

@@ -41,7 +41,9 @@ def test_schedule_bound_and_closed_form():
     assert sched.k(0.0) == pytest.approx(bound, rel=1e-14)
     assert abs(sched.k(0.5)) <= 1e-12  # minimal k0 lands exactly at zero
     ts = np.linspace(0.0, 0.5, 11)
-    assert np.max(np.abs(sched.ode_residual(ts))) <= 1e-12
+    # k solves k' + N k + N (M+1) = 0
+    ode = sched.kprime(ts) + sched.Nconst * sched.k(ts) + sched.Nconst * (sched.M + 1.0)
+    assert np.max(np.abs(ode)) <= 1e-12
     assert sched.k(0.0) > sched.k(0.25) > sched.k(0.5) - 1e-15
     with pytest.raises(ValueError):
         sched.k(0.6)
@@ -266,9 +268,7 @@ def test_gevrey_constant_insensitive_to_gate_threshold():
         def fn(fixed, diff):
             return lambda_sym(diff[:, 0], fixed[:, 0], params, dim=1)
 
-        rep = gevrey_bound_check(
-            fn, xis, xs, theta=2.0, h=1.0, order=1.0 / params.s, max_order=2
-        )
+        rep = gevrey_bound_check(fn, xis, xs, theta=2.0, order=1.0 / params.s)
         return rep["C"]
 
     c1 = fitted(LambdaParams(M=1.0, h=1.0, s=1.8, sigma=0.5))
