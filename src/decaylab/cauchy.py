@@ -7,12 +7,16 @@ Crank-Nicolson rule
     (I - dt/2 G(t+dt)) u+ = (I + dt/2 G(t)) u + dt f(t + dt/2)
 
 which is exactly unitary whenever G is skew and second-order accurate in dt.
-The right-hand side applies G through FFT multipliers, and each step solves
-for u+ with restarted GMRES to a relative residual of 1e-12, well below the
-time-discretization error, right-preconditioned by the free step
-P = (I - dt/2 i Lap)^-1.  Since (I - dt/2 i Lap) P = I, the Laplacian drops
-out of the preconditioned apply, which needs one multiplier per coefficient;
-the dense linear solve of the same step is kept as a reference route.
+Each step solves for u+ with restarted GMRES to a relative residual of
+1e-12, well below the time-discretization error, right-preconditioned by
+the free step P = (I - dt/2 i Lap)^-1.  Since (I - dt/2 i Lap) P = I, the
+Laplacian drops out of the preconditioned apply, which needs one multiplier
+per coefficient.  The solve's last apply is (I - dt/2 G(t+dt)) u+, so the
+next right-hand side is 2 u+ minus it, with no apply of its own; only the
+first step applies G through FFT multipliers for its right-hand side.  Each
+GMRES starts from the linear extrapolation of the last two steps'
+corrections.  The dense linear solve of the same step is kept as a
+reference route.
 
 A second route integrates the weighted unknown v = E(t) u, where
 E(t) = diag(e^(k(t) w(x))) E0 conjugates by the phase weight: E0 is the
@@ -232,19 +236,20 @@ class _GeneratorPieces:
 _GMRES_TOL = 1e-12
 
 
-def _gmres(apply_ap, b: np.ndarray, y0: np.ndarray, *, tol: float = _GMRES_TOL, restart: int = 60, max_restarts: int = 25) -> tuple[np.ndarray, float]:
+def _gmres(apply_ap, b: np.ndarray, y0: np.ndarray, *, tol: float = _GMRES_TOL, restart: int = 60, max_restarts: int = 25) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     """Right-preconditioned restarted GMRES (Saad & Schultz 1986; Saad 2003,
     ch. 9) with complex Givens rotations, for A x = b with x = P y.
 
     apply_ap(y) returns (A P y, P y); lambda y: (A @ y, y) is P = I.  Each
     Arnoldi step rotates the new Hessenberg column to triangular form, so
     |g[j+1]| is the residual estimate, and a cycle ends in one triangular
-    solve.  Returns x = P y and its true relative residual |b - A x| / |b|,
-    both from the same apply.
+    solve.  Returns (x, relres, y, A x): x = P y, its true relative residual
+    |b - A x| / |b|, the y of the final apply and that apply's A P y, all
+    from the same apply.  A zero b returns zeros and no apply is made.
     """
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return np.zeros_like(b), 0.0
+        return np.zeros_like(b), 0.0, np.zeros_like(b), np.zeros_like(b)
     y = y0.copy()
     ap, x = apply_ap(y)
     r = b - ap
@@ -281,7 +286,7 @@ def _gmres(apply_ap, b: np.ndarray, y0: np.ndarray, *, tol: float = _GMRES_TOL, 
         ap, x = apply_ap(y)
         r = b - ap
         relres = float(np.linalg.norm(r)) / bnorm
-    return x, relres
+    return x, relres, y, ap
 
 
 @dataclass(frozen=True)
@@ -306,10 +311,16 @@ def _crank_nicolson(gen, v: StateVector, dt: float, nsteps: int, *, method: str,
     """The Crank-Nicolson loop of both routes; gen is a _GeneratorPieces or a
     ConjugatedGenerator.
 
-    "krylov" runs GMRES on gen.preconditioned_apply(t+dt, dt/2, y) from
-    y0 = rhs (A P = I + O(dt)) and aborts when a step's true relative
-    residual stays above 1e-12; "dense", the reference, solves against
-    I - dt/2 gen.dense(t+dt).  With eig_stride > 0 the loop takes
+    With h = dt/2 and A(t) = I - h G(t), the right-hand side
+    (I + h G(t)) v = 2 v - A(t) v reuses A(t) v from the step that produced
+    v: the last apply of its GMRES solve, or the dense matrix times the
+    solution; only step 0 calls gen.apply.  "krylov" runs GMRES on
+    gen.preconditioned_apply(t+dt, h, y) from y0 = rhs + 2 d_k - d_(k-1),
+    where d = y - rhs is a solve's preconditioned correction (y0 = rhs + d_1
+    at the second step and rhs at the first; A P = I + O(dt)), and aborts
+    when a step's true relative residual stays above 1e-12; "dense", the
+    reference, solves against A(t+dt) = I - h gen.dense(t+dt).  With
+    eig_stride > 0 the loop takes
     gen.min_eig(gen.dense(t)) at t=0, every that many steps and at the last
     step.  About 50 samples trace the norms of v and the edge fraction of
     gen.physical(t, v); the run aborts when that exceeds
@@ -332,24 +343,37 @@ def _crank_nicolson(gen, v: StateVector, dt: float, nsteps: int, *, method: str,
     applies: list[int] = []
     worst_relres = 0.0
 
+    h = 0.5 * dt
+    av = None  # (I - h G(t)) v, formed by the step solve that produced v
+    d = d_prev = None  # y - rhs of the last two GMRES solves
     t = 0.0
     for k in range(nsteps):
         t_next = (k + 1) * dt
         last = k + 1 == nsteps
-        rhs = v.values + 0.5 * dt * gen.apply(t, v)
-        fmid = gen.source(t + 0.5 * dt)
+        if av is None:
+            rhs = (v.values + h * gen.apply(t, v)).ravel()
+        else:
+            rhs = 2.0 * v.values.ravel() - av
+        fmid = gen.source(t + h)
         if fmid is not None:
-            rhs = rhs + dt * fmid
+            rhs = rhs + dt * fmid.ravel()
         if method == "dense":
-            vals = np.linalg.solve(np.eye(grid.node_count, dtype=np.complex128) - 0.5 * dt * gen.dense(t_next), rhs.ravel())
+            amat = np.eye(grid.node_count, dtype=np.complex128) - h * gen.dense(t_next)
+            vals = np.linalg.solve(amat, rhs)
+            av = amat @ vals
+            del amat  # free it before the next step forms its own n x n matrix
         else:
             applies.append(0)
 
             def apply_ap(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 applies[-1] += 1
-                return gen.preconditioned_apply(t_next, 0.5 * dt, y)
+                return gen.preconditioned_apply(t_next, h, y)
 
-            vals, relres = _gmres(apply_ap, rhs.ravel(), rhs.ravel())
+            y0 = rhs
+            if d is not None:
+                y0 = rhs + d if d_prev is None else rhs + 2.0 * d - d_prev
+            vals, relres, y, av = _gmres(apply_ap, rhs, y0)
+            d_prev, d = d, y - rhs
             worst_relres = max(worst_relres, relres)
             if relres > _GMRES_TOL:
                 aborted = True
@@ -388,9 +412,10 @@ def _crank_nicolson(gen, v: StateVector, dt: float, nsteps: int, *, method: str,
 def solve(problem: Problem, grid: Grid, dt: float, *, indices: Sequence[GsIndices] = (), method: str = "krylov") -> SolveResult:
     """Integrate the problem on [0, T].
 
-    Both methods apply G through FFTs for the right-hand side.  "krylov"
-    solves each step with GMRES right-preconditioned by the free step
-    (about five applies per step at dt=1e-3) and reports applies per step
+    Both methods apply G through FFTs for the first right-hand side and
+    reuse each step solve's own apply for the next.  "krylov" solves each
+    step with warm-started GMRES right-preconditioned by the free step
+    (about four applies per step at dt=1e-3) and reports applies per step
     and the worst residual under "gmres"; "dense", a reference, solves
     against the assembled matrix.  Aborts (GMRES stall, boundary contamination) are
     those of the shared loop, _crank_nicolson.

@@ -314,6 +314,8 @@ def _cmd_conjugation_check(args, out: Path) -> dict:
 
 
 def _cmd_energy(args, out: Path) -> dict:
+    if args.conjugated and args.method == "dense":
+        raise _CliError("--method dense is the plain route's reference; the conjugated route steps with GMRES only")
     ep = _pick_example(args.example, args.sigma, args.s, args.T)
     grid = Grid(dim=1, n=args.n, L=args.L)
     l2 = GsIndices(0, 0, 0, 0, 2.0, 2.0)

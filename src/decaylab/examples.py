@@ -101,9 +101,19 @@ def _family(sigma: float, s: float, eps: float, T: float, label: str, rho2_data:
         return 1j * alpha(t, x)
 
     def b(t, x):
-        px = phi_x(t, x)
-        c = phi_xx(t, x) + px * px - alpha(t, x) * px
-        return -phi_t(t, x) + 1j * c
+        # the same terms as phi_t, phi_x, phi_xx and alpha, from two powers:
+        # <x>^(p+2) = (1+x^2) <x>^p and <x>^(p-2) = <x>^p / (1+x^2)
+        x = np.asarray(x, dtype=np.float64)
+        x2 = x * x
+        r2 = 1.0 + x2
+        grow = _bracket_pow(x, -sigma - 1.0)
+        decay = _bracket_pow(x, q - 2.0)
+        al = t * (1.0 - sigma) * x * grow
+        px = al + eps * q * x * decay
+        grow_xx = t * (1.0 - sigma) * grow * (1.0 + (-sigma - 1.0) * x2 / r2)
+        decay_xx = eps * q * decay * (1.0 + (q - 2.0) * x2 / r2)
+        c = grow_xx + decay_xx + px * px - al * px
+        return -r2 * grow + 1j * c
 
     def g(x):
         return np.exp(phi(0.0, x)).astype(np.complex128)
@@ -168,8 +178,13 @@ def example2(sigma: float, *, T: float = 1.0) -> ExactProblem:
         return 1j * alpha(t, x)
 
     def b(t, x):
-        # alpha equals phi_x here, so the corrector reduces to phi_xx
-        return -phi_t(t, x) + 1j * phi_xx(t, x)
+        # alpha equals phi_x here, so the corrector reduces to phi_xx; its
+        # powers <x>^p and <x>^(p-4) come from <x>^(p-2) and 1+x^2
+        x = np.asarray(x, dtype=np.float64)
+        x2 = x * x
+        r2 = 1.0 + x2
+        low = _bracket_pow(x, p - 2.0)
+        return -r2 * low + 1j * (t - 1.0) * p * low * (1.0 + (p - 2.0) * x2 / r2)
 
     def g(x):
         return np.exp(phi(0.0, x)).astype(np.complex128)

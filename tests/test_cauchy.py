@@ -128,15 +128,18 @@ def test_gmres_reports_true_residual():
     def plain(y):
         return a @ y, y
 
-    x, relres = _gmres(plain, b, y0)
+    x, relres, y, ax = _gmres(plain, b, y0)
     assert relres <= 1e-12
     assert relres == relres_of(x)
+    assert np.array_equal(ax, a @ x) and np.array_equal(y, x)
     # a budget too small to converge still reports the residual it reached
-    x, relres = _gmres(plain, b, y0, restart=2, max_restarts=1)
+    x, relres, y, ax = _gmres(plain, b, y0, restart=2, max_restarts=1)
     assert relres > 1e-12
     assert relres == relres_of(x)
-    # a diagonal right preconditioner: x is P y of the last apply, and
-    # relres is the true residual of that x, not of y
+    assert np.array_equal(ax, a @ x)
+    # a diagonal right preconditioner: x is P y of the last apply, y is that
+    # apply's argument, A x its output, and relres is the true residual of
+    # that x, not of y
     p = 1.0 / (1.0 + 1j * np.linspace(0.0, 5.0, n))
     ys = []
 
@@ -144,10 +147,18 @@ def test_gmres_reports_true_residual():
         ys.append(y)
         return a @ (p * y), p * y
 
-    x, relres = _gmres(preconditioned, b, y0)
+    x, relres, y, ax = _gmres(preconditioned, b, y0)
     assert relres <= 1e-12
+    assert np.array_equal(y, ys[-1])
     assert np.array_equal(x, p * ys[-1])
+    assert np.array_equal(ax, a @ x)
     assert relres == relres_of(x)
+    # a zero right-hand side makes no apply and returns zeros throughout
+    ys.clear()
+    out = _gmres(preconditioned, np.zeros(n, dtype=np.complex128), b)
+    assert ys == []
+    assert out[1] == 0.0
+    assert all(np.array_equal(arr, np.zeros(n)) for arr in (out[0], out[2], out[3]))
 
 
 def _stalling_plain_run():
@@ -174,9 +185,10 @@ def test_stalled_step_solve_aborts(monkeypatch, run):
 
 def test_preconditioned_step_cost(monkeypatch):
     # the free Crank-Nicolson solve as right preconditioner: at this dt the
-    # residual falls about 80-fold per Arnoldi step, so a step takes six of
-    # them plus the first and the last apply (35 applies unpreconditioned);
-    # each apply makes one multiplier call per coefficient call
+    # residual falls about 80-fold per Arnoldi step, so a step from the
+    # warm start takes about seven applies, the first and the last included
+    # (35 applies unpreconditioned from a cold start); each apply makes one
+    # multiplier call per coefficient call
     ep = example1(0.5, 1.8)
     counts = {"mult": 0, "coeff": 0}
     per_apply = []
@@ -210,6 +222,60 @@ def test_preconditioned_step_cost(monkeypatch):
     assert gm["worst_relres"] <= 1e-12
     assert len(per_apply) == round(gm["applies_per_step"]["mean"] * res.report["steps_taken"])
     assert all(m == c == 2 for m, c in per_apply)
+    # the only apply outside GMRES is the first step's right-hand side
+    assert counts["mult"] == counts["coeff"] == 2 * (len(per_apply) + 1)
+
+
+@pytest.mark.parametrize(
+    "ep", [example1(0.5, 1.8, T=0.1), example2(0.5, T=0.1)], ids=["example1", "example2"]
+)
+def test_warm_started_step_cost(ep):
+    # extrapolating the last two solves' corrections takes a step at
+    # dt=1e-3 from five applies (cold start) to about four
+    res = solve(ep.problem, Grid(dim=1, n=256, L=20.0), 1e-3)
+    assert not res.report["aborted"]
+    gm = res.report["gmres"]
+    assert gm["applies_per_step"]["mean"] <= 4.5
+    assert gm["worst_relres"] <= 1e-12
+
+
+def _plain_generator():
+    return _GeneratorPieces(example1(0.5, 1.8).problem, Grid(dim=1, n=128, L=15.0))
+
+
+def _conjugated_generator():
+    return _open_gate_generator()[0]
+
+
+@pytest.mark.parametrize("make", [_plain_generator, _conjugated_generator], ids=["plain", "conjugated"])
+def test_reused_step_apply_is_the_next_right_hand_side(make):
+    # a step to t ends on an apply of A = I - h G(t) at its solution v, so
+    # the next right-hand side (I + h G(t)) v is 2 v - A v with no new apply;
+    # the dense reference reuses the matrix of its solve the same way
+    gen = make()
+    g = gen.grid
+    dt = 0.0125
+    h = 0.5 * dt
+    v0 = StateVector(g, np.exp(-g.x**2 / 4.0) * (1.0 + 0.5j * g.x))
+    rhs = (v0.values + h * gen.apply(0.0, v0)).ravel()
+    vals, relres, _, av = _gmres(lambda y: gen.preconditioned_apply(dt, h, y), rhs, rhs)
+    assert relres <= 1e-12
+    v1 = StateVector(g, vals.reshape(g.shape))
+    want = (v1.values + h * gen.apply(dt, v1)).ravel()
+    amat = np.eye(g.n) - h * gen.dense(dt)
+    for got in (2.0 * vals - av, 2.0 * vals - amat @ vals):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("method", ["krylov", "dense"])
+def test_zero_initial_data_stays_zero(method):
+    # zero right-hand sides: GMRES returns zeros without an apply, and the
+    # warm start and reused apply built from them stay zero
+    prob = dataclasses.replace(example1(0.5, 1.8, T=0.05).problem, g=lambda x: np.zeros_like(x))
+    res = solve(prob, Grid(dim=1, n=64, L=15.0), 0.0125, method=method)
+    assert not res.report["aborted"]
+    assert res.report["steps_taken"] == 4
+    assert not np.any(res.u.values)
 
 
 def test_cn_order_two_against_spectral_propagator():
@@ -335,7 +401,7 @@ def test_conjugated_preconditioned_step_matches_dense():
     rhs = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
     for t, h in ((0.0125, 0.00625), (0.3, 0.025)):
         want = np.linalg.solve(np.eye(g.n) - h * gen.dense(t), rhs)
-        got, relres = _gmres(lambda y: gen.preconditioned_apply(t, h, y), rhs, rhs)
+        got, relres, _, _ = _gmres(lambda y: gen.preconditioned_apply(t, h, y), rhs, rhs)
         assert relres <= 1e-12
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert gen.cond_e0 == float(np.linalg.cond(pair.e0.matrix))

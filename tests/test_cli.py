@@ -232,6 +232,15 @@ def test_energy_conjugated_rerun_is_byte_identical(tmp_path):
     assert 1.0 <= report["cond_e0"] < 1e12
 
 
+def test_energy_conjugated_refuses_dense_method(tmp_path, capsys):
+    rc, report, _ = _run(tmp_path, "energy", "--example", "1", "--conjugated", "--method", "dense")
+    assert rc == 2
+    assert report == {}
+    err = json.loads(capsys.readouterr().out)
+    assert err["exit_code"] == 2
+    assert "--method dense" in err["error"]
+
+
 def test_energy_conjugated_default_run_reports_no_abort(tmp_path):
     # criterion 9's settings: the boundary monitor watches u and stays quiet
     rc, report, _ = _run(tmp_path, "energy", "--example", "1", "--conjugated")
