@@ -27,10 +27,11 @@ only through the diagonal.  The conjugated generator is then
 
 with S(t)[i, j] = e^(k(t)(w_i - w_j)) acting entrywise: the diagonal
 similarity W M W^-1 with W = diag(e^(k(t) w)).  So G_v applies matrix-free,
-G_v v = W E0 G(t) E0^-1 W^-1 v + k'(t) w v, with two matrix-vector products
-around the FFT apply.  E0 is close to the identity, so G_v differs from G by
-lower-order terms and the same free step P preconditions its GMRES step
-solve; G_v itself is built only for eigenvalue samples.  Both routes share
+G_v v = W E0 G(t) E0^-1 W^-1 v + k'(t) w v, with E0 and E0^-1 applied in
+O(n m) (m open frequency nodes, pdo.WeightPair) around the FFT apply.  E0 is
+close to the identity, so G_v differs from G by lower-order terms and the
+same free step P preconditions its GMRES step solve; G_v itself is built
+only for eigenvalue samples.  Both routes share
 one Crank-Nicolson loop, its step solver and its boundary contamination
 monitor, which watches u.  Energy accounting and an empirical decay-loss
 classifier live here too.
@@ -45,7 +46,7 @@ import numpy as np
 from .grid import Grid, StateVector, _derivative_multiplier, apply_multiplier, sample
 from .gsnorm import GsIndices, gs_norm_ex
 from .pdo import DenseOp, WeightPair, assemble_dense, hermitian_min_eig
-# bench/tracing.py patches these two here, so they stay imported though unused
+# unused; bench/tracing.py patches them here until its span list drops them (ROADMAP item 1)
 from .pdo import inverse, power_iteration_norm  # noqa: F401
 from .symbol import ConjugationSchedule, LambdaParams, lambda_on_grid
 
@@ -451,17 +452,17 @@ class ConjugatedResult:
 
 class ConjugatedGenerator:
     """G_v(t) of the weighted unknown v = E(t) u (module docstring) for one
-    weight pair and schedule, with w = <x>_h^(1-sigma).  E0, its inverse
-    and its 2-norm condition number cond_e0 are held for the run; E0 must
-    pass the conditioning cap."""
+    weight pair and schedule, with w = <x>_h^(1-sigma).  E0 acts through the
+    pair's factors; its 2-norm condition number cond_e0 must pass the
+    conditioning cap."""
 
     def __init__(self, problem: Problem, pair: WeightPair, params: LambdaParams, schedule: ConjugationSchedule, *, cond_cap: float = 1e12):
         self.pieces = _GeneratorPieces(problem, pair.grid)
         self.grid = pair.grid
-        self.e0 = pair.e0.matrix
-        inv = pair.inverse(cond_cap=cond_cap)
-        self.e0inv = inv.matrix
-        self.cond_e0 = inv.cond
+        self.pair = pair
+        self.cond_e0 = pair.cond()
+        if not (self.cond_e0 < cond_cap):
+            raise ValueError(f"condition number {self.cond_e0:.3e} exceeds cap {cond_cap:.1e}")
         self.schedule = schedule
         self.w = (np.sqrt(params.h**2 + pair.grid.x_norm**2) ** (1.0 - params.sigma)).ravel()
 
@@ -471,13 +472,13 @@ class ConjugatedGenerator:
 
     def physical(self, t: float, v: StateVector) -> np.ndarray:
         """u = E(t)^-1 v = E0^-1 (v / e^(k(t) w)) on grid.shape."""
-        return (self.e0inv @ (v.values.ravel() / self.weight(t))).reshape(self.grid.shape)
+        return self.pair.solve(v.values.ravel() / self.weight(t)).reshape(self.grid.shape)
 
     def apply(self, t: float, v: StateVector) -> np.ndarray:
         """G_v(t) v without forming G_v, through the similarity
         W E0 G(t) E0^-1 W^-1 v + k'(t) w v with W = diag(e^(k(t) w))."""
         gu = self.pieces.apply(t, StateVector(self.grid, self.physical(t, v))).ravel()
-        out = self.weight(t) * (self.e0 @ gu) + self.schedule.kprime(t) * self.w * v.values.ravel()
+        out = self.weight(t) * self.pair.apply(gu) + self.schedule.kprime(t) * self.w * v.values.ravel()
         return out.reshape(self.grid.shape)
 
     def preconditioned_apply(self, t: float, h: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -488,9 +489,9 @@ class ConjugatedGenerator:
         return (py.values - h * self.apply(t, py)).ravel(), py.values.ravel()
 
     def dense(self, t: float) -> np.ndarray:
-        """G_v(t) as a dense matrix: two n^3 products, so the loop builds
-        it only for eigenvalue samples."""
-        mat = self.e0 @ self.pieces.dense(t) @ self.e0inv
+        """G_v(t) as a dense matrix, in O(n^2 m) through the pair's
+        factors; the loop builds it only for eigenvalue samples."""
+        mat = self.pair.conjugate(self.pieces.dense(t))
         mat *= np.exp(self.schedule.k(t) * (self.w[:, None] - self.w[None, :]))
         mat.flat[:: mat.shape[0] + 1] += self.schedule.kprime(t) * self.w
         return mat
@@ -500,7 +501,7 @@ class ConjugatedGenerator:
         f = self.pieces.source(t)
         if f is None:
             return None
-        return (self.weight(t) * (self.e0 @ f.ravel())).reshape(self.grid.shape)
+        return (self.weight(t) * self.pair.apply(f.ravel())).reshape(self.grid.shape)
 
     def min_eig(self, gv: np.ndarray) -> float:
         """Smallest eigenvalue of the Hermitian part of i Lap - gv, formed
@@ -537,7 +538,7 @@ def solve_conjugated(problem: Problem, grid: Grid, dt: float, params: LambdaPara
     gen = ConjugatedGenerator(problem, pair, params, schedule)
 
     gvals = sample(grid, problem.g).values.ravel()
-    v0 = StateVector(grid, (gen.weight(0.0) * (gen.e0 @ gvals)).reshape(grid.shape))
+    v0 = StateVector(grid, (gen.weight(0.0) * gen.pair.apply(gvals)).reshape(grid.shape))
     v, trace, eig_samples, stepping = _crank_nicolson(
         gen, v0, dt, nsteps, method="krylov", indices=indices, eig_stride=eig_stride
     )

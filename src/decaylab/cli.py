@@ -29,7 +29,7 @@ from .examples import _family, example1, example2, example3, hypothesis_check, r
 from .grid import Grid, StateVector, sample
 from .gsnorm import GsIndices, norm_box_sweep
 from .pdo import WeightPair, conjugation_remainder_check
-# bench/tracing.py patches these three here, so they stay imported though unused
+# unused; bench/tracing.py patches them here until its span list drops them (ROADMAP item 1)
 from .pdo import assemble_dense, hermitian_min_eig, inverse  # noqa: F401
 from .svgplot import line_plot_svg
 from .symbol import ConjugationSchedule, LambdaParams, c_of_lambda, lambda_on_grid, lambda_sym, transport_sign_check
@@ -271,9 +271,7 @@ def _cmd_symbol_check(args, out: Path) -> dict:
 
 def _cmd_conjugation_check(args, out: Path) -> dict:
     hs = _parse_floats(args.h)
-    sweep = conjugation_remainder_check(
-        hs, n=args.n, L=args.L, M=args.M, s=args.s, sigma=args.sigma, seed=args.seed
-    )
+    sweep = conjugation_remainder_check(hs, n=args.n, L=args.L, M=args.M, s=args.s, sigma=args.sigma)
     sched = _schedule(args.M, args.N, args.T, args.k0)
     ep = example1(args.sigma, args.s, T=args.T)
     grid = Grid(dim=1, n=args.n, L=args.L)
@@ -462,7 +460,7 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="decaylab", description=__doc__)
     p.add_argument("--out", default="out", help="output directory for reports, tables, plots")
     p.add_argument("--threads", type=int, default=1, help="worker threads for parameter sweeps")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized probes")
+    p.add_argument("--seed", type=int, default=0, help="seed of symbol-check's direction sample; no other command draws one")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("solve", help="integrate an example and compare with its exact solution")

@@ -161,6 +161,16 @@ def test_conjugation_check_matches_conjugated_solve(tmp_path):
         assert row["min_eig"] == res.eig_samples[-1]["min_eig"]
 
 
+def test_conjugation_check_ignores_seed(tmp_path):
+    # the remainder norm is exact, so no verdict or number depends on --seed
+    files = {}
+    for seed in ("0", "7"):
+        out = tmp_path / seed
+        assert main(["--out", str(out), "--seed", seed, "conjugation-check", "--n", "64", "--h", "5,10"]) == 0
+        files[seed] = {name: (out / name).read_bytes() for name in ("report.json", "conjugation_sweep.csv")}
+    assert files["0"] == files["7"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [("conjugation-check", "--n", "64", "--h", "3,6,12"), ("sharpness",), ("norm-sweep",)],
