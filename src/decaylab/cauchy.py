@@ -131,19 +131,12 @@ class EnergyTrace:
 
 
 def _edge_fraction(values: np.ndarray) -> float:
-    amax = float(np.max(np.abs(values)))
+    mag = np.abs(values)
+    amax = float(mag.max())
     if amax == 0.0:
         return 0.0
-    if values.ndim == 1:
-        edge = max(abs(values[0]), abs(values[-1]))
-    else:
-        edge = max(
-            float(np.max(np.abs(values[0, :]))),
-            float(np.max(np.abs(values[-1, :]))),
-            float(np.max(np.abs(values[:, 0]))),
-            float(np.max(np.abs(values[:, -1]))),
-        )
-    return float(edge) / amax
+    edge = max(float(np.take(mag, (0, -1), axis=ax).max()) for ax in range(mag.ndim))
+    return edge / amax
 
 
 class _GeneratorPieces:

@@ -238,10 +238,10 @@ def _cmd_verify_example(args, out: Path) -> dict:
 def _cmd_symbol_check(args, out: Path) -> dict:
     params = LambdaParams(M=args.M, h=args.h, s=args.s, sigma=args.sigma)
     grid = Grid(dim=args.dim, n=args.n, L=args.L)
-    tres = transport_sign_check(grid, params, direction_cap=args.cap, nnode=args.nnode, seed=args.seed)
+    tres = transport_sign_check(grid, params, direction_cap=args.cap, seed=args.seed)
     # a 1-D figure whatever --dim is; the report names its lattice
     clam_n = min(args.n, 256)
-    clam = c_of_lambda(params, args.L, clam_n, nnode=args.nnode)
+    clam = c_of_lambda(params, args.L, clam_n)
 
     xs = grid.x
     refs = [2.0 * args.h, 4.0 * args.h, -2.0 * args.h, -4.0 * args.h]
@@ -249,7 +249,7 @@ def _cmd_symbol_check(args, out: Path) -> dict:
     series = {}
     for r in refs:
         # in 2-D the slice x2 = 0, xi = (r, 0) has the 1-D geometry exactly
-        vals = lambda_sym(xs, np.full_like(xs, r), params, dim=1, nnode=args.nnode)
+        vals = lambda_sym(xs[:, None], np.full((xs.size, 1), r), params)
         pts = [(float(x), float(v)) for x, v in zip(xs, vals)]
         rows.extend([x, r, v, 0.0] for x, v in pts)
         series[f"xi={r:g}"] = pts
@@ -357,21 +357,9 @@ def _cmd_sharpness(args, out: Path) -> dict:
     deltas = _parse_floats(args.deltas)
     below = example1(args.sigma, args.s_below, T=max(args.t, 1e-6))
 
-    def run_below():
-        return estimate_loss_delta(
-            below.phi, args.t, deltas, sigma=args.sigma, s=args.s_below, rho2_g=1.0
-        )
-
-    def run_above():
-        fam = _family(args.sigma, args.s_above, -1.0, max(args.t, 1e-6), "sharpness-upper", 1.0)
-        return estimate_loss_delta(
-            fam.phi, args.t, deltas, sigma=args.sigma, s=args.s_above, rho2_g=1.0
-        )
-
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as ex:
-        fb = ex.submit(run_below)
-        fa = ex.submit(run_above)
-        est_b, est_a = fb.result(), fa.result()
+    above = _family(args.sigma, args.s_above, -1.0, max(args.t, 1e-6), "sharpness-upper", 1.0)
+    est_b = estimate_loss_delta(below.phi, args.t, deltas, sigma=args.sigma, s=args.s_below, rho2_g=1.0)
+    est_a = estimate_loss_delta(above.phi, args.t, deltas, sigma=args.sigma, s=args.s_above, rho2_g=1.0)
 
     all_conv = all(v == "convergent" for v in est_b["classification"])
     all_div = all(v == "divergent" for v in est_a["classification"])
@@ -421,9 +409,7 @@ def _cmd_norm_sweep(args, out: Path) -> dict:
         g = Grid(dim=1, n=n, L=L)
         return StateVector(g, ep.u_exact(args.t, g.x))
 
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as ex:
-        states = list(ex.map(state_for, Ls))
-    rows = norm_box_sweep(states, idx)
+    rows = norm_box_sweep([state_for(L) for L in Ls], idx)
     norms = [r.norm for r in rows]
     monotone = all(b >= a * (1.0 - 1e-12) for a, b in zip(norms, norms[1:]))
     report = {
@@ -459,7 +445,7 @@ def _cmd_norm_sweep(args, out: Path) -> dict:
 def _build_parser() -> _Parser:
     p = _Parser(prog="decaylab", description=__doc__)
     p.add_argument("--out", default="out", help="output directory for reports, tables, plots")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for parameter sweeps")
+    p.add_argument("--threads", type=int, default=1, help="worker threads for conjugation-check's per-h min-eig; no other command uses them")
     p.add_argument("--seed", type=int, default=0, help="seed of symbol-check's direction sample; no other command draws one")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -499,7 +485,6 @@ def _build_parser() -> _Parser:
     yp.add_argument("--sigma", type=float, default=0.5)
     # sampled direction classes; ~16ms each on a 128x128 lattice (2 cores)
     yp.add_argument("--cap", type=int, default=256)
-    yp.add_argument("--nnode", type=int, default=16)
     yp.set_defaults(fn=_cmd_symbol_check)
 
     cp = sub.add_parser("conjugation-check", help="quantization remainder sweep over h")

@@ -15,7 +15,7 @@ runs are bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
@@ -97,43 +97,27 @@ class Grid:
 
     @cached_property
     def x_mesh(self) -> tuple[np.ndarray, ...]:
-        if self.dim == 1:
-            return (self.x,)
-        return tuple(np.meshgrid(self.x, self.x, indexing="ij"))
+        return tuple(np.meshgrid(*(self.x,) * self.dim, indexing="ij"))
 
     @cached_property
     def xi_mesh(self) -> tuple[np.ndarray, ...]:
-        if self.dim == 1:
-            return (self.xi,)
-        return tuple(np.meshgrid(self.xi, self.xi, indexing="ij"))
+        return tuple(np.meshgrid(*(self.xi,) * self.dim, indexing="ij"))
 
     @cached_property
     def x_norm(self) -> np.ndarray:
-        """|x| at every node, shaped like the grid."""
-        if self.dim == 1:
-            return np.abs(self.x)
-        x1, x2 = self.x_mesh
-        return np.hypot(x1, x2)
+        """|x| at every node, shaped like the grid; hypot(0, x) is |x|."""
+        return reduce(np.hypot, self.x_mesh, 0.0)
 
     @cached_property
     def xi_norm(self) -> np.ndarray:
         """|xi| at every frequency node, shaped like the grid."""
-        if self.dim == 1:
-            return np.abs(self.xi)
-        k1, k2 = self.xi_mesh
-        return np.hypot(k1, k2)
+        return reduce(np.hypot, self.xi_mesh, 0.0)
 
     @cached_property
     def nyquist_mask(self) -> tuple[np.ndarray, ...]:
         """Per-axis boolean arrays, True at the unpaired k = -n/2 mode."""
-        return tuple(
-            mesh_k == -(self.n // 2)
-            for mesh_k in (
-                (self.k_int,)
-                if self.dim == 1
-                else tuple(np.meshgrid(self.k_int, self.k_int, indexing="ij"))
-            )
-        )
+        kmesh = np.meshgrid(*(self.k_int,) * self.dim, indexing="ij")
+        return tuple(k == -(self.n // 2) for k in kmesh)
 
     def same_layout(self, other: "Grid") -> bool:
         """True when node spacings and dimension agree (boxes may differ)."""
@@ -177,10 +161,7 @@ def sample(grid: Grid, f: Callable[..., np.ndarray]) -> StateVector:
 
 
 def _edge_phase(grid: Grid) -> np.ndarray:
-    s = grid.edge_signs
-    if grid.dim == 1:
-        return s
-    return s[:, None] * s[None, :]
+    return reduce(np.multiply.outer, (grid.edge_signs,) * grid.dim)
 
 
 def forward_dft(u: StateVector) -> StateVector:

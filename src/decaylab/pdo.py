@@ -34,15 +34,13 @@ __all__ = [
     "hermitian_min_eig",
 ]
 
-_MAX_NODES_1D = 4096
-_MAX_AXIS_2D = 64
+_MAX_NODES = 4096
 
 
 def _check_size(grid: Grid) -> None:
-    if grid.dim == 1 and grid.n > _MAX_NODES_1D:
-        raise ValueError(f"dense operators cap n at {_MAX_NODES_1D} in one dimension, got {grid.n}")
-    if grid.dim == 2 and grid.n > _MAX_AXIS_2D:
-        raise ValueError(f"dense operators cap n at {_MAX_AXIS_2D} per axis in two dimensions, got {grid.n}")
+    # n is a power of two, so this is n <= 4096 in 1-D and n <= 64 in 2-D
+    if grid.node_count > _MAX_NODES:
+        raise ValueError(f"dense operators cap the grid at {_MAX_NODES} nodes, got {grid.node_count}")
 
 
 @dataclass(frozen=True)
@@ -64,8 +62,6 @@ class DenseOp:
 
 
 def _flat_coords(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    if grid.dim == 1:
-        return grid.x[:, None], grid.xi[:, None]
     x = np.stack([a.ravel() for a in grid.x_mesh], axis=-1)
     xi = np.stack([a.ravel() for a in grid.xi_mesh], axis=-1)
     return x, xi
@@ -98,10 +94,11 @@ def assemble_dense(grid: Grid, kind: str, sym: np.ndarray) -> DenseOp:
         col = np.fft.ifftn(vals)
         j = np.arange(grid.n)
         lag = (j[:, None] - j[None, :]) % grid.n
-        if grid.dim == 1:
-            mat = col[lag]
-        else:
-            mat = col[lag[:, None, :, None], lag[None, :, None, :]].reshape(n, n)
+        # axis a's lag varies along row axis a and column axis a of the
+        # grid.shape + grid.shape result
+        d = grid.dim
+        lags = tuple(lag.reshape([grid.n if b % d == a else 1 for b in range(2 * d)]) for a in range(d))
+        mat = col[lags].reshape(n, n)
         return DenseOp(grid, mat, "multiplier")
 
     xf, xif = _flat_coords(grid)

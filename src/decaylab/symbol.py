@@ -213,35 +213,6 @@ def _profile_integral(y, rho_sq, s: float, nnode: int = 24) -> np.ndarray:
     return np.sign(y) * total * ay / (2.0 * npan)
 
 
-def _as_points(x, xi, dim):
-    """Canonicalize to coordinate rows (..., d), d in {1, 2}.
-
-    Scalars describe one-dimensional points.  Flat arrays are ambiguous
-    only for length 2; pass dim explicitly there."""
-    x = np.asarray(x, dtype=np.float64)
-    xi = np.asarray(xi, dtype=np.float64)
-    scalar = x.ndim == 0 and xi.ndim == 0
-    if x.ndim == 0:
-        x = x[None]
-    if xi.ndim == 0:
-        xi = xi[None]
-    x, xi = np.broadcast_arrays(x, xi)
-    if dim is None:
-        dim = 2 if x.shape[-1] == 2 else 1
-    if dim == 1:
-        # flat arrays are coordinate lists, whatever their length
-        if x.ndim == 1 or x.shape[-1] != 1:
-            x = x[..., None]
-            xi = xi[..., None]
-    elif x.ndim == 1:
-        # a single 2-component point becomes a batch of one
-        x = x[None, :]
-        xi = xi[None, :]
-    if x.shape[-1] != dim:
-        raise ValueError(f"points have {x.shape[-1]} components, expected {dim}")
-    return np.ascontiguousarray(x), np.ascontiguousarray(xi), dim, scalar
-
-
 def _geometry(x, xi):
     # y = x . omega, rho_sq = |x|^2 - y^2 >= 0, both per point
     xin = np.sqrt(np.sum(xi * xi, axis=-1))
@@ -253,11 +224,11 @@ def _geometry(x, xi):
     return y, rho_sq, xin
 
 
-def _blend(y, rho_sq, bx, params: LambdaParams, nnode: int = 24) -> np.ndarray:
+def _blend(y, rho_sq, bx, params: LambdaParams) -> np.ndarray:
     """-(lambda1 * chi + lambda2 * (1 - chi)) given the direction geometry;
     lambda2 = M F(y, 0) is the profile with the transverse offset dropped."""
-    lam1 = params.M * _profile_integral(y, rho_sq, params.s, nnode)
-    lam2 = params.M * _profile_integral(y, np.zeros_like(y), params.s, nnode)
+    lam1 = params.M * _profile_integral(y, rho_sq, params.s)
+    lam2 = params.M * _profile_integral(y, np.zeros_like(y), params.s)
     ct = _dir_profile(y / bx)
     return -(lam1 * ct + lam2 * (1.0 - ct))
 
@@ -287,24 +258,27 @@ def _blend_slope(y, rho_sq, bx, params: LambdaParams, nnode: int) -> np.ndarray:
     return -out
 
 
-def lambda_sym(x, xi, params: LambdaParams, *, dim=None, nnode: int = 24):
+def lambda_sym(x, xi, params: LambdaParams) -> np.ndarray:
     """Full phase part: frequency gate times the direction blend.
 
-    Exactly zero for |xi| <= h, odd in xi, nonpositive where x . xi > 0,
-    and bounded by a multiple of M <x>^(1/s) uniformly in xi.
+    x and xi are coordinate rows of shape (..., d), broadcast against each
+    other; a 1-D slice passes columns such as xs[:, None].  The result has
+    the broadcast shape without the last axis.  Exactly zero for |xi| <= h,
+    odd in xi, nonpositive where x . xi > 0, and bounded by a multiple of
+    M <x>^(1/s) uniformly in xi.
     """
-    x, xi, d, scalar = _as_points(x, xi, dim)
+    x, xi = np.broadcast_arrays(np.asarray(x, dtype=np.float64), np.asarray(xi, dtype=np.float64))
     xin = np.sqrt(np.sum(xi * xi, axis=-1))
     out = np.zeros(x.shape[:-1], dtype=np.float64)
-    gate = _freq_gate(xin, params.h)
+    gate = np.asarray(_freq_gate(xin, params.h))
     act = gate > 0.0
     if np.any(act):
         xa = x[act]
         xia = xi[act]
         y, rho_sq, _ = _geometry(xa, xia)
         bx = np.sqrt(1.0 + np.sum(xa * xa, axis=-1))
-        out[act] = gate[act] * _blend(y, rho_sq, bx, params, nnode)
-    return float(out[0]) if scalar else out
+        out[act] = gate[act] * _blend(y, rho_sq, bx, params)
+    return out
 
 
 def _lattice(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -357,7 +331,7 @@ def lambda_on_grid(grid: Grid, params: LambdaParams) -> np.ndarray:
     return out.reshape(grid.shape + grid.shape)
 
 
-def c_of_lambda(params: LambdaParams, L: float, n: int, *, nnode: int = 24) -> float:
+def c_of_lambda(params: LambdaParams, L: float, n: int) -> float:
     """Grid estimate of the smallest c with |lambda_sym| <= c <x>^(1/s) in
     one dimension: the maximum of |lambda_sym| / <x>^(1/s) over the n x n
     phase grid on [-L, L).
@@ -366,15 +340,18 @@ def c_of_lambda(params: LambdaParams, L: float, n: int, *, nnode: int = 24) -> f
     since the blend is odd in xi, so the maximum is computed per factor."""
     g = Grid(dim=1, n=n, L=L)
     bx = np.sqrt(1.0 + g.x * g.x)
-    vals = np.abs(_blend(g.x, np.zeros_like(g.x), bx, params, nnode))
+    vals = np.abs(_blend(g.x, np.zeros_like(g.x), bx, params))
     return float(_freq_gate(np.abs(g.xi), params.h).max() * (vals / bx ** (1.0 / params.s)).max())
 
 
 # ---------------------------------------------------------------------------
 # transport check
 
+# Gauss-Legendre nodes per panel of the transport gap integral
+_TRANSPORT_NNODE = 16
 
-def transport_sign_check(grid: Grid, params: LambdaParams, *, direction_cap: int = 4096, nnode: int = 16, seed: int = 0) -> dict:
+
+def transport_sign_check(grid: Grid, params: LambdaParams, *, direction_cap: int = 4096, seed: int = 0) -> dict:
     """Sign check of the transport quantity sum_j (d lam/d x_j) xi_j.
 
     For |xi| >= 2h the quantity divided by |xi| must not exceed
@@ -408,7 +385,7 @@ def transport_sign_check(grid: Grid, params: LambdaParams, *, direction_cap: int
     for w in dirs:
         y = xpts @ w
         rho_sq = np.maximum(xnorm2 - y * y, 0.0)
-        der = _blend_slope(y, rho_sq, bx, params, nnode)
+        der = _blend_slope(y, rho_sq, bx, params, _TRANSPORT_NNODE)
         # requirement: der + rate_ref <= 0
         excess = der + rate_ref
         violations += int(np.count_nonzero(excess > floor))

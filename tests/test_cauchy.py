@@ -11,6 +11,7 @@ from decaylab.cauchy import (
     ConjugatedGenerator,
     EnergyTrace,
     _GeneratorPieces,
+    _edge_fraction,
     _gmres,
     solve,
     solve_conjugated,
@@ -292,6 +293,51 @@ def test_cn_order_two_against_spectral_propagator():
         errs.append(float(np.max(np.abs(res.u.values - exact.values))))
     order = np.log2(errs[0] / errs[1])
     assert 1.9 <= order <= 2.1
+
+
+def test_solve_2d_against_closed_form():
+    # constant drift a and damping b: from e^(-|x|^2) the exact solution
+    # is e^(-bT) s^-1 exp(-|x - aT|^2 / s) with s = 1 + 4iT
+    a1, a2, b, T = 0.8, -0.5, 0.3, 0.25
+    prob = Problem(
+        dim=2, sigma=0.5, s0=2.0,
+        a=(lambda t, x1, x2: np.full_like(x1, a1), lambda t, x1, x2: np.full_like(x1, a2)),
+        b=lambda t, x1, x2: np.full_like(x1, b), f=None,
+        g=lambda x1, x2: np.exp(-(x1**2 + x2**2)), T=T,
+    )
+    g = Grid(dim=2, n=64, L=8.0)
+    x1, x2 = g.x_mesh
+    s = 1.0 + 4j * T
+    exact = np.exp(-b * T) / s * np.exp(-((x1 - a1 * T) ** 2 + (x2 - a2 * T) ** 2) / s)
+    errs = []
+    for dt in (0.0125, 0.00625):
+        res = solve(prob, g, dt)
+        assert not res.report["aborted"]
+        assert res.report["dim"] == 2
+        assert res.report["gmres"]["worst_relres"] <= 1e-12
+        errs.append(float(np.max(np.abs(res.u.values - exact))))
+    # 3.77e-4 and 9.41e-5
+    assert errs[0] <= 5e-4
+    assert 1.9 <= np.log2(errs[0] / errs[1]) <= 2.1
+
+
+def test_edge_fraction_reads_both_ends_of_every_axis():
+    line = np.zeros(8, dtype=np.complex128)
+    line[4] = 2.0
+    assert _edge_fraction(line) == 0.0
+    assert _edge_fraction(np.zeros((8, 8))) == 0.0
+    for end in (0, -1):
+        v = line.copy()
+        v[end] = 0.5j
+        assert _edge_fraction(v) == 0.25
+    square = np.zeros((8, 8), dtype=np.complex128)
+    square[3:5, 3:5] = 2.0
+    assert _edge_fraction(square) == 0.0
+    # one point inside each side in turn, away from the corners
+    for side in ((0, 4), (-1, 4), (4, 0), (4, -1)):
+        v = square.copy()
+        v[side] = -0.5
+        assert _edge_fraction(v) == 0.25
 
 
 def test_dense_and_krylov_routes_agree():

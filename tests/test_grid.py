@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from decaylab.grid import (
     _derivative_multiplier,
+    _edge_phase,
     Grid,
     StateVector,
     apply_multiplier,
@@ -45,6 +46,28 @@ def test_nyquist_mask():
     g2 = Grid(dim=2, n=8, L=4.0)
     assert g2.nyquist_mask[0].shape == g2.shape
     assert g2.nyquist_mask[0].sum() == 8  # one row of the lattice
+
+
+def test_grid_fields_equal_their_closed_forms_exactly():
+    # every field is computed once over grid.dim axes; in each dimension it
+    # must equal the textbook formula bit for bit
+    g1 = Grid(dim=1, n=16, L=2.7)
+    assert np.array_equal(g1.x_norm, np.abs(g1.x))
+    assert np.array_equal(g1.xi_norm, np.abs(g1.xi))
+    assert np.array_equal(_edge_phase(g1), g1.edge_signs)
+    (mask,) = g1.nyquist_mask
+    assert np.array_equal(mask, g1.k_int == -8)
+    g2 = Grid(dim=2, n=16, L=2.7)
+    x1, x2 = np.meshgrid(g2.x, g2.x, indexing="ij")
+    xi1, xi2 = np.meshgrid(g2.xi, g2.xi, indexing="ij")
+    k1, k2 = np.meshgrid(g2.k_int, g2.k_int, indexing="ij")
+    s = g2.edge_signs
+    assert np.array_equal(g2.x_norm, np.hypot(x1, x2))
+    assert np.array_equal(g2.xi_norm, np.hypot(xi1, xi2))
+    assert np.array_equal(_edge_phase(g2), s[:, None] * s[None, :])
+    assert len(g2.nyquist_mask) == 2
+    assert np.array_equal(g2.nyquist_mask[0], k1 == -8)
+    assert np.array_equal(g2.nyquist_mask[1], k2 == -8)
 
 
 def test_dft_roundtrip_1d():

@@ -109,7 +109,7 @@ def test_lambda2_matches_lambda1_in_1d():
     b = P1.M * _profile_integral(xs, np.zeros_like(xs), P1.s)
     assert np.max(np.abs(a - b)) == 0.0
     # so the direction blend reduces to -lambda1
-    blend = _blend(xs, np.zeros_like(xs), np.sqrt(1.0 + xs**2), P1, 24)
+    blend = _blend(xs, np.zeros_like(xs), np.sqrt(1.0 + xs**2), P1)
     assert np.max(np.abs(blend + a)) <= 1e-15 * np.max(np.abs(a))
 
 
@@ -127,9 +127,9 @@ def test_gate_zero_region_exact():
     p = LambdaParams(M=1.0, h=2.0, s=1.8, sigma=0.5)
     xs = np.linspace(-5.0, 5.0, 21)
     for xi in (0.5, -1.9, 2.0, -2.0):
-        v = lambda_sym(xs, np.full_like(xs, xi), p, dim=1)
+        v = lambda_sym(xs[:, None], np.full((xs.size, 1), xi), p)
         assert np.all(v == 0.0)
-    v = lambda_sym(xs, np.full_like(xs, 4.5), p, dim=1)
+    v = lambda_sym(xs[:, None], np.full((xs.size, 1), 4.5), p)
     assert np.any(v != 0.0)
 
 
@@ -137,8 +137,8 @@ def test_lambda_sym_antisymmetric_in_xi():
     p = LambdaParams(M=1.0, h=2.0, s=1.8, sigma=0.5)
     xs = np.linspace(-6.0, 6.0, 25)
     for xi in (4.0, 5.5, 7.0):
-        a = lambda_sym(xs, np.full_like(xs, xi), p, dim=1)
-        b = lambda_sym(xs, np.full_like(xs, -xi), p, dim=1)
+        a = lambda_sym(xs[:, None], np.full((xs.size, 1), xi), p)
+        b = lambda_sym(xs[:, None], np.full((xs.size, 1), -xi), p)
         assert np.max(np.abs(a + b)) <= 1e-15
 
 
@@ -169,7 +169,7 @@ def test_lambda_on_grid_matches_pointwise():
                 assert field[i, j] == 0.0
                 continue
             assert field[i, j] == pytest.approx(
-                lambda_sym(x, xi, p, dim=1), abs=1e-14
+                float(lambda_sym([x], [xi], p)), abs=1e-14
             )
     # every column; at n=16, L=5, h=2 the gate is closed, in transition
     # and open on 37, 84 and 135 nodes, and 72 of the 88 direction
@@ -242,7 +242,7 @@ def test_blend_slope_matches_central_difference():
     u = np.abs(y) / bx
     assert np.any(u <= 0.5) and np.any((u > 0.6) & (u < 0.9)) and np.any(u > 0.99)
     e = 1e-4
-    fd = (_blend(*geometry(x + e * w), p, 24) - _blend(*geometry(x - e * w), p, 24)) / (2.0 * e)
+    fd = (_blend(*geometry(x + e * w), p) - _blend(*geometry(x - e * w), p)) / (2.0 * e)
     exact = _blend_slope(y, rho_sq, bx, p, 24)
     assert np.max(np.abs(exact - fd)) <= 1e-7
     # on the plateau the slope is exactly the rate -M <x>^(1/s-1)
@@ -266,7 +266,7 @@ def test_gevrey_constant_insensitive_to_gate_threshold():
 
     def fitted(params):
         def fn(fixed, diff):
-            return lambda_sym(diff[:, 0], fixed[:, 0], params, dim=1)
+            return lambda_sym(diff, fixed, params)
 
         rep = gevrey_bound_check(fn, xis, xs, theta=2.0, order=1.0 / params.s)
         return rep["C"]
