@@ -160,6 +160,12 @@ def sample(grid: Grid, f: Callable[..., np.ndarray]) -> StateVector:
     return StateVector(grid, np.broadcast_to(vals, grid.shape).copy())
 
 
+def _node_rows(grid: Grid) -> np.ndarray:
+    """Per-axis node indices j as coordinate rows (node_count, dim), in grid
+    order: grid.x[j] are the nodes, grid.k_int[j] the integer frequencies."""
+    return np.indices(grid.shape).reshape(grid.dim, -1).T
+
+
 def _edge_phase(grid: Grid) -> np.ndarray:
     return reduce(np.multiply.outer, (grid.edge_signs,) * grid.dim)
 

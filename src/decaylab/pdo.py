@@ -1,8 +1,8 @@
 """Dense quantized operators on small tensor grids.
 
 Two quantizations of a phase-space function share one discrete frame.  With
-W[j, k] = exp(i x_j . xi_k), V[k, m] = exp(-i x_m . xi_k) dx^d and the cell
-factor c = (dxi / 2 pi)^d:
+W[j, k] = exp(i x_j . xi_k), gathered exactly from the n-th roots of unity,
+V = dx^d W^H and the cell factor c = (dxi / 2 pi)^d:
 
     direct  (symbol left of the phase):   KN(a)  = c (a * W) @ V
     reverse (symbol right of the phase):  REV(b) = c W @ (b^T * V)
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, _edge_phase
+from .grid import Grid, _edge_phase, _node_rows
 
 __all__ = [
     "DenseOp",
@@ -61,10 +61,19 @@ class DenseOp:
         object.__setattr__(self, "matrix", m)
 
 
-def _flat_coords(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    x = np.stack([a.ravel() for a in grid.x_mesh], axis=-1)
-    xi = np.stack([a.ravel() for a in grid.xi_mesh], axis=-1)
-    return x, xi
+def _phase_columns(grid: Grid, cols) -> np.ndarray:
+    """W[:, cols] for a slice or index array of frequency nodes.  Per axis
+    x_j xi_k = -pi k + 2 pi j k / n, so W[j, k] = (-1)^(sum k)
+    e^(2 pi i (j . k mod n) / n) is gathered from one table of the n-th
+    roots of unity, with no exponential of an argument that grows with
+    the box."""
+    j = _node_rows(grid)
+    roots = np.exp(2j * np.pi / grid.n * np.arange(grid.n))
+    idx = j @ grid.k_int[j[cols]].T
+    idx &= grid.n - 1  # the mod n, in place: n is a power of two
+    w = roots[idx]
+    w *= _edge_phase(grid).ravel()[cols]
+    return w
 
 
 def _sym_flat(grid: Grid, sym: np.ndarray) -> np.ndarray:
@@ -101,10 +110,9 @@ def assemble_dense(grid: Grid, kind: str, sym: np.ndarray) -> DenseOp:
         mat = col[lags].reshape(n, n)
         return DenseOp(grid, mat, "multiplier")
 
-    xf, xif = _flat_coords(grid)
     scale = (grid.dxi / (2.0 * np.pi)) ** grid.dim
-    W = np.exp(1j * (xf @ xif.T))
-    V = np.exp(-1j * (xif @ xf.T)) * grid.dx**grid.dim
+    W = _phase_columns(grid, slice(None))
+    V = W.conj().T * grid.dx**grid.dim
     s = _sym_flat(grid, sym)
     if kind == "kn":
         mat = (s * W) @ V * scale
@@ -191,9 +199,7 @@ class WeightPair:
         self._open = np.flatnonzero(np.any(lam != 0.0, axis=0))
         m = self._open.size
         self._lam = lam[:, self._open]
-        xf, xif = _flat_coords(grid)
-        self.u = (xf @ xif[self._open].T) * 1j
-        np.exp(self.u, out=self.u)  # W_S until scaled below
+        self.u = _phase_columns(grid, self._open)  # W_S until scaled below
         self.v_s = self.u.T.conj()
         self.v_s *= grid.dx**grid.dim
         self.u *= (grid.dxi / (2.0 * np.pi)) ** grid.dim * np.expm1(self._lam)

@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .grid import Grid
+from .grid import Grid, _node_rows
 
 __all__ = [
     "LambdaParams",
@@ -281,13 +281,6 @@ def lambda_sym(x, xi, params: LambdaParams) -> np.ndarray:
     return out
 
 
-def _lattice(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    # spatial nodes and integer frequency nodes k (xi = dxi * k) as
-    # coordinate rows (node_count, dim), in grid order
-    kmesh = np.meshgrid(*(grid.k_int,) * grid.dim, indexing="ij")
-    return tuple(np.stack([a.ravel() for a in mesh], axis=-1) for mesh in (grid.x_mesh, kmesh))
-
-
 def _primitive_directions(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Direction classes of nonzero integer frequency nodes k, shape (m, d),
     reduced modulo scaling and antipodal symmetry.
@@ -314,7 +307,8 @@ def lambda_on_grid(grid: Grid, params: LambdaParams) -> np.ndarray:
     grid.shape + grid.shape: spatial indices first, frequency indices last,
     matching the dense-operator layout.
     """
-    xpts, k = _lattice(grid)
+    j = _node_rows(grid)
+    xpts, k = grid.x[j], grid.k_int[j]
     xi = grid.dxi * k
     gate = _freq_gate(np.sqrt(np.sum(xi * xi, axis=-1)), params.h)
     act = np.nonzero(gate > 0.0)[0]
@@ -362,7 +356,8 @@ def transport_sign_check(grid: Grid, params: LambdaParams, *, direction_cap: int
     violates the bound when it exceeds it by more than 4 ulp of the rate,
     the roundoff of the plateau identity.
     """
-    xpts, k = _lattice(grid)
+    j = _node_rows(grid)
+    xpts, k = grid.x[j], grid.k_int[j]
     k = k[np.sqrt(np.sum(k * k, axis=-1)) * grid.dxi >= 2.0 * params.h]
     dirs, _, _ = _primitive_directions(k)
     total_dirs = dirs.shape[0]

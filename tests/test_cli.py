@@ -71,6 +71,26 @@ def test_solve_config_file(tmp_path):
     assert report["n"] == 128
 
 
+def test_solve_example_2_passes_at_its_defaults(tmp_path):
+    # criterion 2's L=40 is too narrow for the critical family's state;
+    # example 2 defaults to L=80 (linf 3.43e-4 against tol 1e-3)
+    rc, report, _ = _run(tmp_path, "solve", "--example", "2")
+    assert rc == 0
+    assert report["pass"] is True
+    assert (report["n"], report["L"]) == (1024, 80.0)
+
+
+def test_solve_default_box_composes_with_config(tmp_path):
+    # a config without L takes the example's box; a config L or a flag wins
+    base = {"example": 2, "dt": 0.025, "T": 0.1, "tol": 0.01}
+    for extra, flags, want in (({}, (), 80.0), ({"L": 40}, (), 40.0), ({}, ("--L", "60"), 60.0)):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({**base, **extra}))
+        rc, report, _ = _run(tmp_path, "solve", "--config", str(cfg), *flags)
+        assert rc == 0
+        assert report["L"] == want
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     rc = main(["--out", str(tmp_path / "o"), "solve", "--config", str(tmp_path / "nope.json")])
     assert rc == 2

@@ -90,6 +90,17 @@ def test_quantizations_coincide_for_x_independent_symbol():
     assert np.max(np.abs(a - c)) <= 1e-10
 
 
+@pytest.mark.parametrize("n, L", [(512, 0.5), (256, 20.0)])
+def test_unit_symbol_quantizes_to_identity_to_roundoff(n, L):
+    # W is gathered from the n-th roots of unity, so c W V = I holds to a
+    # few ulp however large x . xi gets (804 rad at n=512, L=0.5)
+    g = Grid(dim=1, n=n, L=L)
+    ones = np.ones(g.shape + g.shape)
+    for kind in ("kn", "reverse"):
+        mat = assemble_dense(g, kind, ones).matrix
+        assert np.max(np.abs(mat - np.eye(n))) <= 2e-15
+
+
 def test_adjoint_identity_random_real_symbols():
     # direct quantization adjoint equals reverse quantization of the
     # conjugate, as matrices
