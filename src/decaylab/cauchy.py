@@ -296,6 +296,8 @@ class SolveResult:
 
 
 def _steps_for(T: float, dt: float) -> int:
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     nsteps = int(round(T / dt))
     if nsteps < 1 or abs(nsteps * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError(f"dt={dt} does not divide T={T} into whole steps")

@@ -208,13 +208,12 @@ def _cmd_verify_example(args, out: Path) -> dict:
     u0_diff = float(np.max(np.abs(u0 - u0_exact)))
     res = residual_check(ep, grid, ts)
     hyp = hypothesis_check(ep, L=min(args.L, 20.0), theta=2.0, t_samples=tuple(ts))
-    s_eff = ep.problem.s0 if args.id == 2 else args.s
     # candidate losses must bracket the elapsed time: the critical family
     # sheds decay at unit rate, so its infimal loss sits at the horizon
     upper = max(0.99, args.T + 0.2)
     deltas = [round(0.01 * k, 10) for k in range(1, int(round(upper / 0.01)) + 1)]
     member = estimate_loss_delta(
-        ep.phi, args.T, deltas, sigma=args.sigma, s=s_eff, rho2_g=ep.rho2_data
+        ep.phi, args.T, deltas, sigma=args.sigma, s=ep.problem.s0, rho2_g=ep.rho2_data
     )
     report = {
         "example": args.id,
@@ -404,7 +403,9 @@ def _cmd_sharpness(args, out: Path) -> dict:
 def _cmd_norm_sweep(args, out: Path) -> dict:
     ep = _pick_example(args.example, args.sigma, args.s, max(args.t, 1e-6))
     Ls = _parse_floats(args.Ls)
-    idx = GsIndices(0.0, args.m2, 0.0, args.rho2, args.s if args.example != 2 else 1.0 / (1.0 - args.sigma), 2.0)
+    if not args.dx > 0.0:
+        raise ValueError(f"dx must be positive, got {args.dx}")
+    idx = GsIndices(0.0, args.m2, 0.0, args.rho2, ep.problem.s0, 2.0)
 
     def state_for(L: float) -> StateVector:
         n_f = 2.0 * L / args.dx
@@ -555,10 +556,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         report = args.fn(args, out)
-    except _CliError as e:
-        print(json.dumps({"error": str(e), "exit_code": 2}, sort_keys=True))
-        return 2
-    except (ValueError, FileNotFoundError, NotADirectoryError) as e:
+    except (_CliError, ValueError, FileNotFoundError, FileExistsError, NotADirectoryError) as e:
         print(json.dumps({"error": str(e), "exit_code": 2}, sort_keys=True))
         return 2
     print(json.dumps(report, indent=2, sort_keys=True, default=str))

@@ -1,24 +1,30 @@
 """Closed-form evolutions u = e^phi with engineered decay behavior.
 
-Each family fixes a real phase phi(t, x), takes the purely imaginary
-first-order coefficient a = i alpha with alpha the x-derivative of the
-growing part of phi, and derives the zero-order coefficient wholesale from
-the residual identity
+Every example is one member of a single family with the real phase
+
+    phi(t, x) = (t - t0) <x>^(1-sigma) + eps <x>^(1/s).
+
+The first-order coefficient is purely imaginary, a = i alpha, with alpha
+the x-derivative of the growing part (t - t0) <x>^(1-sigma), and the
+zero-order coefficient comes wholesale from the residual identity
 
     phi_t - i (phi_xx + phi_x^2) + a phi_x + b = 0
     =>  b = -phi_t + i (phi_xx + phi_x^2 - alpha phi_x),
 
 so the residual vanishes identically by construction rather than by a
-transcribed formula.  Three phases are provided:
+transcribed formula.  The members:
 
-    t <x>^(1-sigma) - <x>^(1/s)    data decays sub-exponentially, the
-                                   evolution eats part of that decay
-    (t-1) <x>^(1-sigma)            borderline index s = 1/(1-sigma); the
-                                   state flattens to exactly 1 at t = 1
-    t <x>^(1-sigma) + <x>^(1/s)    growing data, kept for the converse
-                                   range of indices
+    member           eps  t0  s               behaviour
+    example1          -1   0  < 1/(1-sigma)   decaying data loses a fixed
+                                              part of its decay
+    example2           0   1  = 1/(1-sigma)   borderline index; the state
+                                              flattens to exactly 1 at t = 1
+    example3          +1   0  <= 1/(1-sigma)  growing data, kept for the
+                                              converse range of indices
+    sharpness upper   -1   0  > 1/(1-sigma)   decaying data above the
+                                              threshold (cli sharpness)
 
-All families are one-dimensional with f = 0.
+All members are one-dimensional with f = 0; problem.s0 is their index s.
 """
 from __future__ import annotations
 
@@ -45,7 +51,7 @@ class ExactProblem:
     """A Problem bundled with its exact solution and phase derivatives.
 
     rho2_data is the decay rate of the initial state in the scale
-    e^(rho2 <x>^(1/decay_index)): +1 means membership at rho2 = 1,
+    e^(rho2 <x>^(1/problem.s0)): +1 means membership at rho2 = 1,
     -1 means membership only for rho2 < -1 (growing data).
     """
 
@@ -55,8 +61,6 @@ class ExactProblem:
     phi_t: Callable
     phi_x: Callable
     phi_xx: Callable
-    alpha: Callable
-    decay_index: float
     rho2_data: float
 
     def u_exact(self, t: float, x) -> np.ndarray:
@@ -67,13 +71,13 @@ def _bracket_pow(x: np.ndarray, p: float) -> np.ndarray:
     return (1.0 + x * x) ** (0.5 * p)
 
 
-def _family(sigma: float, s: float, eps: float, T: float, label: str, rho2_data: float) -> ExactProblem:
-    """Phase t<x>^(1-sigma) + eps <x>^(1/s) and its induced coefficients."""
+def _family(sigma: float, s: float, eps: float, T: float, label: str, rho2_data: float, *, t0: float = 0.0) -> ExactProblem:
+    """Phase (t-t0)<x>^(1-sigma) + eps <x>^(1/s) and its induced coefficients."""
     q = 1.0 / s
 
     def phi(t, x):
         x = np.asarray(x, dtype=np.float64)
-        return t * _bracket_pow(x, 1.0 - sigma) + eps * _bracket_pow(x, q)
+        return (t - t0) * _bracket_pow(x, 1.0 - sigma) + eps * _bracket_pow(x, q)
 
     def phi_t(t, x):
         x = np.asarray(x, dtype=np.float64)
@@ -82,37 +86,36 @@ def _family(sigma: float, s: float, eps: float, T: float, label: str, rho2_data:
     def phi_x(t, x):
         x = np.asarray(x, dtype=np.float64)
         # d/dx <x>^p = p x <x>^(p-2)
-        return t * (1.0 - sigma) * x * _bracket_pow(x, -sigma - 1.0) + eps * q * x * _bracket_pow(x, q - 2.0)
+        return (t - t0) * (1.0 - sigma) * x * _bracket_pow(x, -sigma - 1.0) + eps * q * x * _bracket_pow(x, q - 2.0)
 
     def phi_xx(t, x):
         x = np.asarray(x, dtype=np.float64)
         # d2/dx2 <x>^p = p <x>^(p-2) + p (p-2) x^2 <x>^(p-4)
-        grow = t * (1.0 - sigma) * (
+        grow = (t - t0) * (1.0 - sigma) * (
             _bracket_pow(x, -sigma - 1.0) + (-sigma - 1.0) * x * x * _bracket_pow(x, -sigma - 3.0)
         )
         decay = eps * q * (_bracket_pow(x, q - 2.0) + (q - 2.0) * x * x * _bracket_pow(x, q - 4.0))
         return grow + decay
 
-    def alpha(t, x):
-        x = np.asarray(x, dtype=np.float64)
-        return t * (1.0 - sigma) * x * _bracket_pow(x, -sigma - 1.0)
-
     def a1(t, x):
-        return 1j * alpha(t, x)
+        # i alpha, alpha the x-derivative of the growing part of phi
+        x = np.asarray(x, dtype=np.float64)
+        return 1j * ((t - t0) * (1.0 - sigma) * x * _bracket_pow(x, -sigma - 1.0))
 
     def b(t, x):
-        # the same terms as phi_t, phi_x, phi_xx and alpha, from two powers:
-        # <x>^(p+2) = (1+x^2) <x>^p and <x>^(p-2) = <x>^p / (1+x^2)
+        # the same terms as phi_t, phi_x, phi_xx and alpha, from one power
+        # per part: <x>^(p+2) = (1+x^2) <x>^p and <x>^(p-2) = <x>^p / (1+x^2)
         x = np.asarray(x, dtype=np.float64)
         x2 = x * x
         r2 = 1.0 + x2
         grow = _bracket_pow(x, -sigma - 1.0)
-        decay = _bracket_pow(x, q - 2.0)
-        al = t * (1.0 - sigma) * x * grow
-        px = al + eps * q * x * decay
-        grow_xx = t * (1.0 - sigma) * grow * (1.0 + (-sigma - 1.0) * x2 / r2)
-        decay_xx = eps * q * decay * (1.0 + (q - 2.0) * x2 / r2)
-        c = grow_xx + decay_xx + px * px - al * px
+        c = (t - t0) * (1.0 - sigma) * grow * (1.0 + (-sigma - 1.0) * x2 / r2)
+        if eps != 0.0:
+            # without a decay part phi_x = alpha, and c is phi_xx alone
+            al = (t - t0) * (1.0 - sigma) * x * grow
+            decay = _bracket_pow(x, q - 2.0)
+            px = al + eps * q * x * decay
+            c = c + eps * q * decay * (1.0 + (q - 2.0) * x2 / r2) + px * px - al * px
         return -r2 * grow + 1j * c
 
     def g(x):
@@ -120,15 +123,7 @@ def _family(sigma: float, s: float, eps: float, T: float, label: str, rho2_data:
 
     prob = Problem(dim=1, sigma=sigma, s0=s, a=(a1,), b=b, f=None, g=g, T=T)
     return ExactProblem(
-        problem=prob,
-        label=label,
-        phi=phi,
-        phi_t=phi_t,
-        phi_x=phi_x,
-        phi_xx=phi_xx,
-        alpha=alpha,
-        decay_index=s,
-        rho2_data=rho2_data,
+        problem=prob, label=label, phi=phi, phi_t=phi_t, phi_x=phi_x, phi_xx=phi_xx, rho2_data=rho2_data
     )
 
 
@@ -153,54 +148,7 @@ def example2(sigma: float, *, T: float = 1.0) -> ExactProblem:
         raise ValueError(f"sigma must lie in (0, 1), got {sigma}")
     if not (0.0 < T <= 1.0):
         raise ValueError(f"T must lie in (0, 1], got {T}")
-    s = 1.0 / (1.0 - sigma)
-    p = 1.0 - sigma
-
-    def phi(t, x):
-        x = np.asarray(x, dtype=np.float64)
-        return (t - 1.0) * _bracket_pow(x, p)
-
-    def phi_t(t, x):
-        x = np.asarray(x, dtype=np.float64)
-        return _bracket_pow(x, p)
-
-    def phi_x(t, x):
-        x = np.asarray(x, dtype=np.float64)
-        return (t - 1.0) * p * x * _bracket_pow(x, p - 2.0)
-
-    def phi_xx(t, x):
-        x = np.asarray(x, dtype=np.float64)
-        return (t - 1.0) * p * (_bracket_pow(x, p - 2.0) + (p - 2.0) * x * x * _bracket_pow(x, p - 4.0))
-
-    alpha = phi_x
-
-    def a1(t, x):
-        return 1j * alpha(t, x)
-
-    def b(t, x):
-        # alpha equals phi_x here, so the corrector reduces to phi_xx; its
-        # powers <x>^p and <x>^(p-4) come from <x>^(p-2) and 1+x^2
-        x = np.asarray(x, dtype=np.float64)
-        x2 = x * x
-        r2 = 1.0 + x2
-        low = _bracket_pow(x, p - 2.0)
-        return -r2 * low + 1j * (t - 1.0) * p * low * (1.0 + (p - 2.0) * x2 / r2)
-
-    def g(x):
-        return np.exp(phi(0.0, x)).astype(np.complex128)
-
-    prob = Problem(dim=1, sigma=sigma, s0=s, a=(a1,), b=b, f=None, g=g, T=T)
-    return ExactProblem(
-        problem=prob,
-        label="example2",
-        phi=phi,
-        phi_t=phi_t,
-        phi_x=phi_x,
-        phi_xx=phi_xx,
-        alpha=alpha,
-        decay_index=s,
-        rho2_data=1.0,
-    )
+    return _family(sigma, 1.0 / (1.0 - sigma), 0.0, T, "example2", rho2_data=1.0, t0=1.0)
 
 
 def example3(sigma: float, s: float, *, T: float = 0.5) -> ExactProblem:

@@ -356,6 +356,8 @@ def transport_sign_check(grid: Grid, params: LambdaParams, *, direction_cap: int
     violates the bound when it exceeds it by more than 4 ulp of the rate,
     the roundoff of the plateau identity.
     """
+    if direction_cap < 1:
+        raise ValueError(f"direction_cap must be at least 1, got {direction_cap}")
     j = _node_rows(grid)
     xpts, k = grid.x[j], grid.k_int[j]
     k = k[np.sqrt(np.sum(k * k, axis=-1)) * grid.dxi >= 2.0 * params.h]

@@ -300,6 +300,37 @@ def test_norm_sweep_bad_box_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["solve", "--example", "1", "--dt", "0"], "dt must be finite and positive"),
+        (["energy", "--example", "1", "--dt", "0"], "dt must be finite and positive"),
+        (["energy", "--example", "1", "--conjugated", "--dt", "0"], "dt must be finite and positive"),
+        (["norm-sweep", "--dx", "0"], "dx must be positive"),
+        (["symbol-check", "--cap", "0"], "direction_cap must be at least 1"),
+    ],
+    ids=["solve-dt0", "energy-dt0", "energy-conjugated-dt0", "norm-sweep-dx0", "symbol-check-cap0"],
+)
+def test_degenerate_step_or_cap_exits_2(tmp_path, capsys, argv, needle):
+    # a zero step divides by zero; a zero cap checks no direction
+    rc, report, _ = _run(tmp_path, *argv)
+    assert rc == 2
+    assert report == {}
+    err = json.loads(capsys.readouterr().out)
+    assert err["exit_code"] == 2
+    assert needle in err["error"]
+
+
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("not a directory\n")
+    for out in (target, target / "sub"):
+        rc = main(["--out", str(out), "sharpness", "--deltas", "0.5"])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().out)["exit_code"] == 2
+    assert target.read_text() == "not a directory\n"
+
+
 # ---------------------------------------------------------------------------
 # plot writer
 

@@ -58,12 +58,16 @@ def test_residual_detects_coefficient_perturbation():
 
 
 def test_corrector_frozen_values():
-    # zero-order imaginary parts at spot points, derived symbolically once
+    # Im b derived symbolically once; Im a and Re b = -<x>^(1/2) frozen
     pts = [(0.3, 1.7), (0.5, -3.2)]
+    re_b = [-1.4043889391232052, -1.8310136326221174]
     want = {
-        "example1": [0.10181072208558866, 0.07122312972277568],
-        "example2": [0.014454938658113495, 0.014927812793663809],
-        "example3": [0.13654497851356579, 0.09079314702131888],
+        "example1": {"b_im": [0.10181072208558866, 0.07122312972277568],
+                     "a_im": [0.09206148572658544, -0.13032125499089803]},
+        "example2": {"b_im": [0.014454938658113495, 0.014927812793663809],
+                     "a_im": [-0.2148101333620327, 0.13032125499089803]},
+        "example3": {"b_im": [0.13654497851356579, 0.09079314702131888],
+                     "a_im": [0.09206148572658544, -0.13032125499089803]},
     }
     eps = {
         "example1": example1(0.5, 1.8),
@@ -71,9 +75,13 @@ def test_corrector_frozen_values():
         "example3": example3(0.5, 1.8),
     }
     for name, ep in eps.items():
-        for (t, x), ref in zip(pts, want[name]):
-            got = float(np.imag(ep.problem.b(t, np.array([x]))[0]))
-            assert got == pytest.approx(ref, rel=1e-12)
+        for k, (t, x) in enumerate(pts):
+            a = complex(ep.problem.a[0](t, np.array([x]))[0])
+            b = complex(ep.problem.b(t, np.array([x]))[0])
+            assert a.real == 0.0
+            assert a.imag == pytest.approx(want[name]["a_im"][k], rel=1e-12)
+            assert b.real == pytest.approx(re_b[k], rel=1e-12)
+            assert b.imag == pytest.approx(want[name]["b_im"][k], rel=1e-12)
 
 
 def test_real_part_of_b_is_minus_growth_rate():
@@ -109,8 +117,9 @@ def test_phase_derivative_consistency():
 def test_class_membership_metadata():
     assert example1(0.5, 1.8).rho2_data == 1.0
     assert example3(0.5, 1.8).rho2_data == -1.0
-    assert example2(0.5).decay_index == pytest.approx(2.0)
-    assert example2(0.25).decay_index == pytest.approx(4.0 / 3.0)
+    assert example1(0.5, 1.8).problem.s0 == 1.8
+    assert example2(0.5).problem.s0 == pytest.approx(2.0)
+    assert example2(0.25).problem.s0 == pytest.approx(4.0 / 3.0)
 
 
 def test_coefficient_growth_hypotheses():
