@@ -308,7 +308,7 @@ def _trace_values(u: StateVector, indices: Sequence[GsIndices]) -> dict[str, flo
     return {idx.label(): gs_norm_ex(u, idx).value for idx in indices}
 
 
-def _crank_nicolson(gen, v: StateVector, dt: float, nsteps: int, *, method: str, indices: Sequence[GsIndices], eig_stride: int = 0):
+def _crank_nicolson(gen, v: StateVector, dt: float, nsteps: int, *, method: str, indices: Sequence[GsIndices]):
     """The Crank-Nicolson loop of both routes; gen is a _GeneratorPieces or a
     ConjugatedGenerator.
 
@@ -321,14 +321,12 @@ def _crank_nicolson(gen, v: StateVector, dt: float, nsteps: int, *, method: str,
     three preconditioned corrections d = y - rhs (rhs, rhs + d_1 and
     rhs + 2 d_2 - d_1 at the first three steps; A P = I + O(dt)), and aborts
     when a step's true relative residual stays above 1e-12; "dense", the
-    reference, solves against A(t+dt) = I - h gen.dense(t+dt).  With
-    eig_stride > 0 the loop takes
-    gen.min_eig(gen.dense(t)) at t=0, every that many steps and at the last
-    step.  About 50 samples trace the norms of v and the edge fraction of
-    gen.physical(t, v); the run aborts when that exceeds
-    max(1e-8, 100 * initial fraction), since a periodic box only represents
-    the whole-space problem while the state stays negligible at the edge.
-    Returns v, the trace, the eig samples and the shared report keys.
+    reference, solves against A(t+dt) = I - h gen.dense(t+dt).  About 50
+    samples trace the norms of v and the edge fraction of gen.physical(t, v);
+    the run aborts when that exceeds max(1e-8, 100 * initial fraction), since
+    a periodic box only represents the whole-space problem while the state
+    stays negligible at the edge.
+    Returns v, the trace and the shared report keys.
     """
     grid = v.grid
     stride = max(1, nsteps // 50)
@@ -336,9 +334,6 @@ def _crank_nicolson(gen, v: StateVector, dt: float, nsteps: int, *, method: str,
     frac0 = _edge_fraction(gen.physical(0.0, v))
     threshold = max(1e-8, 100.0 * frac0)
     trace.add(0.0, _trace_values(v, indices), frac0)
-    eig_samples: list[dict] = []
-    if eig_stride > 0:
-        eig_samples.append({"t": 0.0, "min_eig": gen.min_eig(gen.dense(0.0))})
 
     aborted = False
     reason = None
@@ -381,8 +376,6 @@ def _crank_nicolson(gen, v: StateVector, dt: float, nsteps: int, *, method: str,
                 aborted = True
                 reason = f"iterative step solve stalled at t={t_next:.6g}"
                 break
-        if eig_stride > 0 and ((k + 1) % eig_stride == 0 or last):
-            eig_samples.append({"t": t_next, "min_eig": gen.min_eig(gen.dense(t_next))})
         v = StateVector(grid, vals.reshape(grid.shape))
         t = t_next
         if (k + 1) % stride == 0 or last:
@@ -408,7 +401,7 @@ def _crank_nicolson(gen, v: StateVector, dt: float, nsteps: int, *, method: str,
         "boundary_final": trace.boundary[-1],
         "final_time": t,
     }
-    return v, trace, eig_samples, stepping
+    return v, trace, stepping
 
 
 def solve(problem: Problem, grid: Grid, dt: float, *, indices: Sequence[GsIndices] = (), method: str = "krylov") -> SolveResult:
@@ -426,7 +419,7 @@ def solve(problem: Problem, grid: Grid, dt: float, *, indices: Sequence[GsIndice
     nsteps = _steps_for(problem.T, dt)
     if method not in ("krylov", "dense"):
         raise ValueError(f"unknown method {method!r}")
-    u, trace, _, stepping = _crank_nicolson(
+    u, trace, stepping = _crank_nicolson(
         pieces, sample(grid, problem.g), dt, nsteps, method=method, indices=indices
     )
     report = {
@@ -522,11 +515,12 @@ def solve_conjugated(problem: Problem, grid: Grid, dt: float, params: LambdaPara
     conditioning cap.  Each step runs the preconditioned GMRES of solve on
     G_v, applied matrix-free, and the report carries its "gmres" block.
     With eig_stride > 0, the smallest eigenvalue of the Hermitian part of
-    i Lap - G_v is recorded every that many steps; its uniform lower bound
-    is the discrete form of the energy inequality the weight is designed to
-    produce.  The report carries cond_e0, the condition number the cap was
-    checked on.  The trace holds the norms of v; the boundary monitor
-    watches u, as in solve, since the weight lifts v toward the edge.
+    i Lap - G_v, a function of t alone, is sampled outside the loop at t=0
+    and at every that many steps and the last, of those taken; its uniform
+    lower bound is the discrete form of the energy inequality the weight is
+    designed to produce.  The report carries cond_e0, the condition number
+    the cap was checked on.  The trace holds the norms of v; the boundary
+    monitor watches u, as in solve, since the weight lifts v toward the edge.
     """
     if abs(schedule.T - problem.T) > 1e-12:
         raise ValueError("schedule horizon differs from problem horizon")
@@ -540,9 +534,16 @@ def solve_conjugated(problem: Problem, grid: Grid, dt: float, params: LambdaPara
 
     gvals = sample(grid, problem.g).values.ravel()
     v0 = StateVector(grid, (gen.weight(0.0) * gen.pair.apply(gvals)).reshape(grid.shape))
-    v, trace, eig_samples, stepping = _crank_nicolson(
-        gen, v0, dt, nsteps, method="krylov", indices=indices, eig_stride=eig_stride
-    )
+
+    def eig_sample(j: int) -> dict:
+        return {"t": j * dt, "min_eig": gen.min_eig(gen.dense(j * dt))}
+
+    # t=0 goes first, so a grid past min_eig's node cap is refused before any step
+    eig_samples = [eig_sample(0)] if eig_stride > 0 else []
+    v, trace, stepping = _crank_nicolson(gen, v0, dt, nsteps, method="krylov", indices=indices)
+    if eig_stride > 0:
+        taken = range(1, stepping["steps_taken"] + 1)
+        eig_samples += [eig_sample(j) for j in taken if j % eig_stride == 0 or j == nsteps]
     u = StateVector(grid, gen.physical(stepping["final_time"], v))
     report = {
         "n": grid.n,

@@ -177,7 +177,7 @@ def _cmd_solve(args, out: Path) -> dict:
         {
             "example": args.example,
             "sigma": args.sigma,
-            "s": args.s,
+            "s": ep.problem.s0,
             "linf_error": err,
             "tol": args.tol,
             "pass": (not res.report["aborted"]) and err <= args.tol,
@@ -218,7 +218,7 @@ def _cmd_verify_example(args, out: Path) -> dict:
     report = {
         "example": args.id,
         "sigma": args.sigma,
-        "s": args.s,
+        "s": ep.problem.s0,
         "u0_max_diff": u0_diff,
         "max_residual": res["max_residual"],
         "residual_per_t": res["per_t"],

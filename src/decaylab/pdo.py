@@ -11,8 +11,9 @@ so that KN(a)^H = REV(conj(a)) holds as a finite-dimensional identity, not
 just asymptotically.  assemble_dense materializes these matrices, with
 sizes capped, as the explicit reference every operator statement is
 checked against.  The phase weight's pair is never assembled: its symbols
-differ from 1 only on the open frequency columns, so WeightPair holds E0
-and R0 as rank-m updates of the identity and takes the remainder norm,
+differ from 1 only on the open frequency columns, so WeightPair takes the
+field as (open nodes, columns), as lambda_on_grid builds it, holds E0 and
+R0 as rank-m updates of the identity and takes the remainder norm,
 cond(E0) and E0^-1 exactly from those factors.
 """
 from __future__ import annotations
@@ -76,14 +77,6 @@ def _phase_columns(grid: Grid, cols) -> np.ndarray:
     return w
 
 
-def _sym_flat(grid: Grid, sym: np.ndarray) -> np.ndarray:
-    n = grid.node_count
-    sym = np.asarray(sym)
-    if sym.shape == grid.shape + grid.shape:
-        return sym.reshape(n, n)
-    raise ValueError(f"symbol must have shape {grid.shape + grid.shape}, got {sym.shape}")
-
-
 def assemble_dense(grid: Grid, kind: str, sym: np.ndarray) -> DenseOp:
     """Materialize a quantized operator as a dense matrix.
 
@@ -110,10 +103,13 @@ def assemble_dense(grid: Grid, kind: str, sym: np.ndarray) -> DenseOp:
         mat = col[lags].reshape(n, n)
         return DenseOp(grid, mat, "multiplier")
 
+    s = np.asarray(sym)
+    if s.shape != grid.shape + grid.shape:
+        raise ValueError(f"symbol must have shape {grid.shape + grid.shape}, got {s.shape}")
+    s = s.reshape(n, n)
     scale = (grid.dxi / (2.0 * np.pi)) ** grid.dim
     W = _phase_columns(grid, slice(None))
     V = W.conj().T * grid.dx**grid.dim
-    s = _sym_flat(grid, sym)
     if kind == "kn":
         mat = (s * W) @ V * scale
         return DenseOp(grid, mat, "kn")
@@ -172,8 +168,8 @@ class WeightPair:
     """The two quantizations of the phase weight, E0 = KN(e^lam) and
     R0 = REV(e^-lam), held as factors and never assembled.
 
-    Let S be the m frequency columns on which lam does not vanish (the
-    nodes the gate leaves open) and W_S = W[:, S].  Since c W V = I,
+    Let S be the m frequency nodes the gate leaves open (lam vanishes on
+    every other column) and W_S = W[:, S].  Since c W V = I,
 
         E0 - I = KN(e^lam - 1) = U V_S,   U = c (e^lam - 1)[:, S] * W_S,
         R0 - I = W_S V',                  V' = c (e^-lam - 1)[:, S]^T * V_S,
@@ -190,15 +186,13 @@ class WeightPair:
     k = min(m, n^d - m).  E0^-1 = I - U core^-1 V_S by Woodbury's identity
     (Hager, SIAM Review 1989).  While ||E0 R0 - I|| < 1, R0 is an
     approximate inverse of E0 and conjugating by E0 is well posed.  field
-    is lam on grid.shape + grid.shape, as lambda_on_grid returns it.
+    is (S, lam[:, S]), flat indices, as lambda_on_grid returns it.
     """
 
-    def __init__(self, grid: Grid, field: np.ndarray):
+    def __init__(self, grid: Grid, field: tuple[np.ndarray, np.ndarray]):
         self.grid = grid
-        lam = _sym_flat(grid, field)
-        self._open = np.flatnonzero(np.any(lam != 0.0, axis=0))
+        self._open, self._lam = field
         m = self._open.size
-        self._lam = lam[:, self._open]
         self.u = _phase_columns(grid, self._open)  # W_S until scaled below
         self.v_s = self.u.T.conj()
         self.v_s *= grid.dx**grid.dim

@@ -18,9 +18,9 @@ and is odd under omega -> -omega.  _primitive_directions reduces the integer
 frequency nodes to direction classes (primitive lattice vectors modulo
 sign), and both lattice computations run once per class: lambda_on_grid
 evaluates the blend once per class and scales it by gate and sign at each
-of the class's nodes, and the transport check, whose quantity divided by
-|xi| depends on omega alone, covers every frequency node with |xi| >= 2h
-by checking each class once.
+of the class's nodes, building only the gate's open columns; and the
+transport check, whose quantity divided by |xi| depends on omega alone,
+covers every frequency node with |xi| >= 2h by checking each class once.
 """
 from __future__ import annotations
 
@@ -298,14 +298,13 @@ def _primitive_directions(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return dirs, cls, np.where(flip, -1.0, 1.0)
 
 
-def lambda_on_grid(grid: Grid, params: LambdaParams) -> np.ndarray:
-    """Evaluate the phase part on the full tensor grid.
-
-    The blend is evaluated once per direction class of the frequency nodes
-    the gate leaves open, over all x, and each node of the class gets that
-    column times its gate and antipodal sign.  Returns an array of shape
-    grid.shape + grid.shape: spatial indices first, frequency indices last,
-    matching the dense-operator layout.
+def lambda_on_grid(grid: Grid, params: LambdaParams) -> tuple[np.ndarray, np.ndarray]:
+    """The phase part on the tensor grid as (open, cols): open, ascending,
+    holds the flat frequency indices where the gate is positive, and cols,
+    of shape (grid.node_count, open.size), lam on those columns; lam is 0 on
+    every other one.  The blend is evaluated once per direction class of the
+    open nodes, over all x, and each node of the class gets that column
+    times its gate and antipodal sign.
     """
     j = _node_rows(grid)
     xpts, k = grid.x[j], grid.k_int[j]
@@ -316,13 +315,13 @@ def lambda_on_grid(grid: Grid, params: LambdaParams) -> np.ndarray:
     scale = gate[act] * sign
     xnorm2 = np.sum(xpts * xpts, axis=-1)
     bx = np.sqrt(1.0 + xnorm2)
-    out = np.zeros((xpts.shape[0], k.shape[0]), dtype=np.float64)
+    cols = np.empty((xpts.shape[0], act.size), dtype=np.float64)
     for c, w in enumerate(dirs):
         y = xpts @ w
         rho_sq = np.maximum(xnorm2 - y * y, 0.0)
         members = cls == c
-        out[:, act[members]] = np.multiply.outer(_blend(y, rho_sq, bx, params), scale[members])
-    return out.reshape(grid.shape + grid.shape)
+        cols[:, members] = np.multiply.outer(_blend(y, rho_sq, bx, params), scale[members])
+    return act, cols
 
 
 def c_of_lambda(params: LambdaParams, L: float, n: int) -> float:

@@ -23,6 +23,7 @@ from decaylab.grid import Grid, StateVector, apply_multiplier, forward_dft, inve
 from decaylab.gsnorm import GsIndices
 from decaylab.pdo import DenseOp, WeightPair, assemble_dense, hermitian_min_eig
 from decaylab.symbol import ConjugationSchedule, LambdaParams, lambda_on_grid
+from field_forms import full_field, open_form
 
 
 def _free_problem(T=0.2):
@@ -458,7 +459,7 @@ def test_conjugated_generator_with_closed_gate():
     g = Grid(dim=1, n=32, L=8.0)
     params = LambdaParams(M=1.0, h=15.0, s=1.8, sigma=0.5)
     sched = ConjugationSchedule(M=1.0, Nconst=1.0, T=0.5, k0=3.0)
-    gen = ConjugatedGenerator(ep.problem, WeightPair(g, np.zeros(g.shape + g.shape)), params, sched)
+    gen = ConjugatedGenerator(ep.problem, WeightPair(g, open_form(g, np.zeros(g.shape + g.shape))), params, sched)
     w = np.sqrt(15.0**2 + g.x**2) ** 0.5
     t = 0.2
     plain = _GeneratorPieces(ep.problem, g).dense(t)
@@ -504,7 +505,7 @@ def test_conjugated_preconditioned_step_matches_dense():
         got, relres, _, _ = _gmres(lambda y: gen.preconditioned_apply(t, h, y), rhs, rhs)
         assert relres <= 1e-12
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    want = np.linalg.cond(assemble_dense(g, "kn", np.exp(field)).matrix)
+    want = np.linalg.cond(assemble_dense(g, "kn", np.exp(full_field(g, field))).matrix)
     assert abs(gen.cond_e0 - want) <= 1e-12 * want
 
 

@@ -145,6 +145,22 @@ def test_verify_example_critical_loss_tracks_horizon(tmp_path):
     assert report["membership"]["infimal_delta"] == pytest.approx(1.0, rel=0.1)
 
 
+@pytest.mark.parametrize(
+    "sub, extra, want",
+    [
+        ("solve", ("--example", "2", *FAST_SOLVE), 2.0),
+        ("verify-example", ("--id", "2"), 2.0),
+        ("solve", ("--example", "1", *FAST_SOLVE), 1.7),
+    ],
+    ids=["solve-example-2", "verify-example-2", "solve-example-1"],
+)
+def test_reports_the_decay_index_the_run_used(tmp_path, sub, extra, want):
+    # example 2 runs at its critical index 1/(1-sigma) = 2 whatever --s is;
+    # example 1 runs at --s
+    _, report, _ = _run(tmp_path, sub, *extra, "--s", "1.7")
+    assert report["s"] == want
+
+
 def test_symbol_check(tmp_path):
     rc, report, out = _run(tmp_path, "symbol-check", "--n", "64", "--L", "10", "--h", "2")
     assert rc == 0

@@ -16,6 +16,7 @@ from decaylab.pdo import (
     hermitian_min_eig,
 )
 from decaylab.symbol import ConjugationSchedule, LambdaParams, lambda_on_grid
+from field_forms import full_field, open_form
 
 
 def _rand_state(g, seed=0):
@@ -230,7 +231,8 @@ def test_remainder_grows_with_weight_strength():
 
 def _dense_pair(g, field):
     # the reference: E0 = KN(e^lam) and R0 = REV(e^-lam) assembled in full
-    return assemble_dense(g, "kn", np.exp(field)).matrix, assemble_dense(g, "reverse", np.exp(-field)).matrix
+    lam = full_field(g, field)
+    return assemble_dense(g, "kn", np.exp(lam)).matrix, assemble_dense(g, "reverse", np.exp(-lam)).matrix
 
 
 def _weight_field(dim, n, L, h):
@@ -248,10 +250,12 @@ def _weight_field(dim, n, L, h):
     ],
 )
 def test_weight_pair_factors_match_dense(dim, n, L, h, rel):
-    # the gate leaves some frequency columns closed
+    # the gate leaves some frequency columns closed, and none of its open
+    # columns vanishes, so they are the field's nonzero columns
     g = Grid(dim=dim, n=n, L=L)
     field = _weight_field(dim, n, L, h)
     assert 0 < WeightPair(g, field).u.shape[1] < g.node_count
+    assert np.array_equal(open_form(g, full_field(g, field))[0], field[0])
     _check_pair_against_dense(g, field, rel)
 
 
@@ -259,7 +263,7 @@ def test_weight_pair_with_every_column_open():
     # a weight nonzero on every frequency column: C is empty and E0 is all
     # core
     g = Grid(dim=1, n=64, L=4.0)
-    field = 0.2 * np.exp(-g.x[:, None] ** 2) * (1.5 + np.cos(g.xi))[None, :]
+    field = open_form(g, 0.2 * np.exp(-g.x[:, None] ** 2) * (1.5 + np.cos(g.xi))[None, :])
     assert WeightPair(g, field).u.shape[1] == g.n
     _check_pair_against_dense(g, field, 1e-12)
 
@@ -311,7 +315,7 @@ def _bracket_correction(g, dp_dxi, dlam_dx):
 def test_conjugate_generator_trivial_weight():
     g = Grid(dim=1, n=32, L=4.0)
     op = assemble_dense(g, "multiplier", -g.xi**2)
-    pair = WeightPair(g, np.zeros(g.shape + g.shape))
+    pair = WeightPair(g, open_form(g, np.zeros(g.shape + g.shape)))
     assert pair.remainder_norm() <= 1e-12
     conj = pair.conjugate(op.matrix.copy())
     assert np.max(np.abs(conj - op.matrix)) <= 1e-8
@@ -322,7 +326,7 @@ def test_conjugate_generator_remainder_cap():
     # must couple x and xi for the cap to bite
     g = Grid(dim=1, n=32, L=4.0)
     params = LambdaParams(M=1.0, h=1.0, s=1.8, sigma=0.5)
-    assert np.max(np.abs(lambda_on_grid(g, params))) > 0.0
+    assert np.max(np.abs(full_field(g, lambda_on_grid(g, params)))) > 0.0
     ep = example1(0.5, 1.8, T=0.5)
     sched = ConjugationSchedule(k0=2.0 * float(np.expm1(0.5)), Nconst=1.0, T=0.5, M=1.0)
     with pytest.raises(ValueError, match="remainder"):
@@ -336,7 +340,7 @@ def test_conjugation_preserves_spectrum():
     b = assemble_dense(g, "multiplier", np.sqrt(1.0 + g.xi**2))
     op = DenseOp(g, a.matrix @ b.matrix, "composite")
     field = 0.2 * np.exp(-g.x[:, None] ** 2) * np.ones_like(g.xi)[None, :]
-    conj = _conjugated(op, field)
+    conj = _conjugated(op, open_form(g, field))
     for k in (1, 2, 3):
         ta = np.trace(np.linalg.matrix_power(op.matrix, k))
         tb = np.trace(np.linalg.matrix_power(conj, k))
@@ -350,7 +354,7 @@ def test_conjugate_generator_leading_correction_exact_for_linear_symbol():
     g = Grid(dim=1, n=128, L=10.0)
     op = assemble_dense(g, "multiplier", np.where(g.nyquist_mask[0], 0.0, g.xi))
     lam_x = 0.3 * np.exp(-g.x**2)
-    field = lam_x[:, None] * np.ones_like(g.xi)[None, :]
+    field = open_form(g, lam_x[:, None] * np.ones_like(g.xi)[None, :])
     dp_dxi = np.ones((128, 128))
     dlam_dx = np.broadcast_to((-2.0 * g.x * lam_x)[:, None], (128, 128))
     conj = _conjugated(op, field)
@@ -371,7 +375,7 @@ def test_conjugate_generator_correction_shrinks_gap():
     p = np.sqrt(1.0 + g.xi**2)
     op = assemble_dense(g, "multiplier", p)
     lam_x = 0.3 * np.exp(-g.x**2)
-    field = lam_x[:, None] * np.ones_like(g.xi)[None, :]
+    field = open_form(g, lam_x[:, None] * np.ones_like(g.xi)[None, :])
     dp_dxi = np.broadcast_to((g.xi / p)[None, :], (128, 128))
     dlam_dx = np.broadcast_to((-2.0 * g.x * lam_x)[:, None], (128, 128))
     conj = _conjugated(op, field)

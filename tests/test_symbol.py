@@ -1,4 +1,6 @@
 """Phase-weight construction: cutoffs, profile integrals, transport sign."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -160,17 +162,22 @@ def test_c_of_lambda_frozen_value():
 
 
 def test_lambda_on_grid_matches_pointwise():
+    # lambda_on_grid returns the gate's open nodes and their columns: every
+    # open column equals lambda_sym, and lambda_sym is exactly 0 on every
+    # closed column, so the omitted columns are the zero ones
     p = LambdaParams(M=1.0, h=1.0, s=1.8, sigma=0.5)
     g = Grid(dim=1, n=16, L=4.0)
-    field = lambda_on_grid(g, p)
+    opened, cols = lambda_on_grid(g, p)
+    assert cols.shape == (g.node_count, opened.size)
+    assert np.all(np.diff(opened) > 0)
+    assert 0 not in opened
     for i, x in enumerate(g.x):
         for j, xi in enumerate(g.xi):
-            if xi == 0.0:
-                assert field[i, j] == 0.0
+            want = float(lambda_sym([x], [xi], p))
+            if j not in opened:
+                assert want == 0.0
                 continue
-            assert field[i, j] == pytest.approx(
-                float(lambda_sym([x], [xi], p)), abs=1e-14
-            )
+            assert cols[i, np.searchsorted(opened, j)] == pytest.approx(want, abs=1e-14)
     # every column; at n=16, L=5, h=2 the gate is closed, in transition
     # and open on 37, 84 and 135 nodes, and 72 of the 88 direction
     # classes hold nodes of both antipodal signs
@@ -179,17 +186,36 @@ def test_lambda_on_grid_matches_pointwise():
         (Grid(dim=2, n=16, L=5.0), LambdaParams(M=1.0, h=2.0, s=1.8, sigma=0.5)),
     )
     for g2, p2 in lattices:
-        field2 = lambda_on_grid(g2, p2)
-        assert field2.shape == g2.shape + g2.shape
+        opened, cols = lambda_on_grid(g2, p2)
+        assert cols.shape == (g2.node_count, opened.size)
+        assert np.all(np.diff(opened) > 0)
         x1, x2 = g2.x_mesh
         X = np.stack([x1.ravel(), x2.ravel()], axis=-1)
         k1, k2 = g2.xi_mesh
         K = np.stack([k1.ravel(), k2.ravel()], axis=-1)
-        flat = field2.reshape(g2.node_count, g2.node_count)
-        assert np.all(flat[:, 0] == 0.0)
+        assert 0 not in opened
         for j in range(1, g2.node_count):
             ref = lambda_sym(X, np.broadcast_to(K[j], X.shape), p2)
-            assert np.max(np.abs(flat[:, j] - ref)) <= 1e-14
+            if j not in opened:
+                assert np.all(ref == 0.0)
+                continue
+            assert np.max(np.abs(cols[:, np.searchsorted(opened, j)] - ref)) <= 1e-14
+
+
+def test_lambda_on_grid_builds_no_full_field():
+    # criterion 8's h-to-band ratio at n=4096: the gate is positive on 333
+    # of 4096 columns, so the open columns and one temporary of their size
+    # stay far below the n x n field (128 MiB) that must not be built
+    g = Grid(dim=1, n=4096, L=15.0)
+    tracemalloc.start()
+    try:
+        field = lambda_on_grid(g, LambdaParams(M=1.0, h=384.0, s=1.8, sigma=0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.node_count**2 * 8 / 4
+    opened, cols = field
+    assert cols.shape == (g.node_count, opened.size) == (4096, 333)
 
 
 def test_transport_1d_exact_branch():
