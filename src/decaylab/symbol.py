@@ -208,8 +208,12 @@ def _profile_integral(y, rho_sq, s: float, nnode: int = 24) -> np.ndarray:
     total = np.zeros_like(y)
     base = rho_sq[..., None]
     for p in range(npan):
+        # (1 + rho_sq + z^2)^power formed in z's own storage
         z = ay[..., None] * ((p + 0.5 * (t + 1.0)) / npan)
-        total = total + (1.0 + base + z * z) ** power @ w
+        z *= z
+        z += 1.0 + base
+        z **= power
+        total = total + z @ w
     return np.sign(y) * total * ay / (2.0 * npan)
 
 
@@ -319,8 +323,10 @@ def lambda_on_grid(grid: Grid, params: LambdaParams) -> tuple[np.ndarray, np.nda
     for c, w in enumerate(dirs):
         y = xpts @ w
         rho_sq = np.maximum(xnorm2 - y * y, 0.0)
-        members = cls == c
-        cols[:, members] = np.multiply.outer(_blend(y, rho_sq, bx, params), scale[members])
+        # each member column is written in place: no (n^d, members) block
+        blend = _blend(y, rho_sq, bx, params)
+        for i in np.nonzero(cls == c)[0]:
+            np.multiply(blend, scale[i], out=cols[:, i])
     return act, cols
 
 
