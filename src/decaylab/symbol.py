@@ -184,37 +184,73 @@ def _freq_gate(xi_norm, h: float) -> np.ndarray:
 # accumulated-decay profile
 
 
-@lru_cache(maxsize=8)
-def _gl_rule(nnode: int) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=64)
+def _panel_rule(nnode: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    # count equal panels of nnode Gauss-Legendre nodes on [0, 1], panel by
+    # panel, as read-only columns: the node positions and their weights
     t, w = leggauss(nnode)
-    return t, w
+    frac = ((np.arange(count)[:, None] + 0.5 * (t + 1.0)) / count).reshape(-1, 1)
+    wts = np.tile(w, count)[:, None]
+    frac.flags.writeable = wts.flags.writeable = False
+    return frac, wts
 
 
-def _profile_integral(y, rho_sq, s: float, nnode: int = 24) -> np.ndarray:
-    """sign(y) * int_0^|y| (1 + rho_sq + z^2)^((1/s-1)/2) dz.
+# float64 entries per scratch buffer of _profile_integral (512 KiB): a block
+# of points times their quadrature nodes, so the scratch does not grow with
+# the batch
+_PROFILE_BLOCK = 1 << 16
 
-    Composite Gauss-Legendre with panels no longer than 5; the integrand is
-    analytic on the real line so the rule converges spectrally per panel.
+
+def _profile_integral(y, rho_sq, s: float, nnode: int = 24, *, gap: bool = False) -> np.ndarray:
+    """sign(y) * int_0^|y| f(z) dz with f(z) = (1 + rho_sq + z^2)^p and
+    p = (1/s - 1)/2; with gap=True, f(z) = (1 + rho_sq + z^2)^p - (1 + z^2)^p,
+    the difference of the profiles at rho_sq and at 0 as one integral.
+
+    y and rho_sq broadcast to y's shape, which the result has.  Each point
+    gets its own composite Gauss-Legendre rule: ceil(|y|/5) equal panels
+    (at least one) of nnode nodes each, so no panel is longer than 5; the
+    integrand is analytic on the real line, so the rule converges
+    spectrally per panel.  Points are grouped by panel count and integrated
+    in blocks that fill preallocated scratch, and each point's weighted
+    node values are summed in a fixed pairwise order, so a value depends
+    only on its own point: it is bitwise the same in any batch.
     """
     y = np.asarray(y, dtype=np.float64)
-    rho_sq = np.broadcast_to(np.asarray(rho_sq, dtype=np.float64), y.shape)
-    ay = np.abs(y)
-    ymax = float(ay.max()) if ay.size else 0.0
-    if ymax == 0.0:
-        return np.zeros_like(y)
-    npan = max(1, int(np.ceil(ymax / 5.0)))
-    t, w = _gl_rule(nnode)
+    rho = np.broadcast_to(np.asarray(rho_sq, dtype=np.float64), y.shape).ravel()
+    ay = np.abs(y).ravel()
+    npan = np.maximum(np.ceil(ay / 5.0), 1.0).astype(np.intp)
     power = 0.5 * (1.0 / s - 1.0)
-    total = np.zeros_like(y)
-    base = rho_sq[..., None]
-    for p in range(npan):
-        # (1 + rho_sq + z^2)^power formed in z's own storage
-        z = ay[..., None] * ((p + 0.5 * (t + 1.0)) / npan)
-        z *= z
-        z += 1.0 + base
-        z **= power
-        total = total + z @ w
-    return np.sign(y) * total * ay / (2.0 * npan)
+    out = np.empty_like(ay)
+    nodes = nnode * int(npan.max(initial=1))
+    size = max(nodes, min(_PROFILE_BLOCK, nodes * ay.size))
+    buf, buf0 = np.empty(size), np.empty(size if gap else 0)
+    for count in np.flatnonzero(np.bincount(npan)):
+        group = np.flatnonzero(npan == count)
+        frac, wts = _panel_rule(nnode, int(count))
+        per = size // frac.size
+        for lo in range(0, group.size, per):
+            sel = group[lo : lo + per]
+            ab = ay[sel]
+            f = buf[: frac.size * sel.size].reshape(frac.size, sel.size)
+            np.multiply(frac, ab, out=f)  # z
+            f *= f
+            if gap:
+                f0 = buf0[: f.size].reshape(f.shape)
+                np.add(f, 1.0, out=f0)
+                f0 **= power
+            f += 1.0 + rho[sel]
+            f **= power
+            if gap:
+                f -= f0
+            f *= wts
+            # pairwise fold over the nodes: the order depends on the node count only
+            m = f.shape[0]
+            while m > 1:
+                half = m // 2
+                f[:half] += f[m - half : m]
+                m -= half
+            out[sel] = f[0] * ab / (2.0 * count)
+    return (np.sign(y).ravel() * out).reshape(y.shape)
 
 
 def _geometry(x, xi):
@@ -243,8 +279,8 @@ def _blend_slope(y, rho_sq, bx, params: LambdaParams, nnode: int) -> np.ndarray:
     Along omega, y advances at unit rate and rho_sq is invariant, so
     d lambda1 = M (1 + rho_sq + y^2)^p (fundamental theorem of calculus),
     d lambda2 = M (1 + y^2)^p and d chi = chi'(y/<x>) (1 + rho_sq)/<x>^3,
-    with p = (1/s - 1)/2.  The gap lambda1 - lambda2 is integrated only
-    where chi' is nonzero.
+    with p = (1/s - 1)/2.  The gap lambda1 - lambda2 is one integral of the
+    integrand difference, taken only where chi' is nonzero.
     """
     p = 0.5 * (1.0 / params.s - 1.0)
     u = y / bx
@@ -255,9 +291,7 @@ def _blend_slope(y, rho_sq, bx, params: LambdaParams, nnode: int) -> np.ndarray:
     out = dlam1 * ct + dlam2 * (1.0 - ct)
     band = dct != 0.0
     if np.any(band):
-        yb = y[band]
-        gap = _profile_integral(yb, rho_sq[band], params.s, nnode)
-        gap -= _profile_integral(yb, np.zeros_like(yb), params.s, nnode)
+        gap = _profile_integral(y[band], rho_sq[band], params.s, nnode, gap=True)
         out[band] += params.M * gap * dct[band]
     return -out
 
@@ -291,13 +325,19 @@ def _primitive_directions(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
 
     Returns the class unit vectors, in lexicographic order of their
     primitive lattice vectors, the class of each node and its +-1 sign:
-    k_i / |k_i| = sign_i * dirs[cls_i].
+    k_i / |k_i| = sign_i * dirs[cls_i].  Each primitive vector is keyed
+    as one integer, its row-major index in the box its offsets span, so
+    sorting the keys sorts the vectors lexicographically.
     """
     prim = k // np.gcd.reduce(np.abs(k), axis=1)[:, None]
     # canonical antipodal representative: first nonzero component positive
     flip = (prim[:, 0] < 0) | ((prim[:, 0] == 0) & (prim[:, -1] < 0))
     prim[flip] *= -1
-    prim, cls = np.unique(prim, axis=0, return_inverse=True)
+    # initial=0 keeps the box defined for an empty k (a closed gate)
+    lo = prim.min(axis=0, initial=0)
+    key = np.ravel_multi_index((prim - lo).T, prim.max(axis=0, initial=0) - lo + 1)
+    _, first, cls = np.unique(key, return_index=True, return_inverse=True)
+    prim = prim[first]
     dirs = prim / np.sqrt(np.sum(prim * prim, axis=-1))[:, None]
     return dirs, cls, np.where(flip, -1.0, 1.0)
 

@@ -199,6 +199,33 @@ def test_wrong_step_solve_aborts_at_the_next_trace_sample(monkeypatch, run):
     assert gm["worst_relres"] <= 1e-12 < gm["worst_true_relres"]
 
 
+@pytest.mark.parametrize("run", [_stalling_plain_run, _stalling_conjugated_run], ids=["plain", "conjugated"])
+def test_failed_check_is_retried_once(monkeypatch, run):
+    # only the first step solve returns a wrong y: its check fails, one more
+    # GMRES solve from the checked y (to half the gate) passes the second
+    # check, and the run completes as an unpatched one does
+    ref = run()
+    calls = []
+
+    def first_wrong(apply_ap, b, y0, **kw):
+        calls.append(kw)
+        x, relres, y, ax = _gmres(apply_ap, b, y0, **kw)
+        return x, relres, y * (1.0 + 1e-9) if len(calls) == 1 else y, ax
+
+    monkeypatch.setattr(cauchy, "_gmres", first_wrong)
+    res = run()
+    gm = res.report["gmres"]
+    assert not res.report["aborted"]
+    assert res.report["steps_taken"] == ref.report["steps_taken"] == 20
+    assert calls[1] == {"tol": 0.5e-12}
+    assert gm["check_retries"] == 1 and ref.report["gmres"]["check_retries"] == 0
+    assert gm["worst_relres"] <= 1e-12 and gm["worst_true_relres"] <= 1e-12
+    # the retry's applies count: at least its first residual and its check
+    assert gm["applies_per_step"]["mean"] * 20 >= ref.report["gmres"]["applies_per_step"]["mean"] * 20 + 2
+    err = np.linalg.norm(res.u.values - ref.u.values) / np.linalg.norm(ref.u.values)
+    assert err <= 1e-10
+
+
 def test_preconditioned_step_cost(monkeypatch):
     # the free Crank-Nicolson solve as right preconditioner: at this dt the
     # residual falls about 80-fold per Arnoldi step, so a step from the

@@ -11,6 +11,7 @@ from decaylab.symbol import (
     _dir_profile,
     _dir_slope,
     _geometry,
+    _primitive_directions,
     _profile_integral,
     ConjugationSchedule,
     LambdaParams,
@@ -123,6 +124,71 @@ def test_quadrature_node_doubling():
     b = _lambda1(x, xi, P1, nnode=48)
     denom = np.maximum(np.abs(a), 1.0)
     assert np.max(np.abs(a - b) / denom) <= 1e-10
+
+
+def test_profile_integral_is_per_point():
+    # each point takes ceil(|y|/5) panels of its own, so |y| = 1 next to
+    # |y| = 14 gets the one panel it gets alone, bit for bit
+    alone = _profile_integral(np.array([1.0]), np.array([0.5]), 1.8, 16)
+    pair = _profile_integral(np.array([1.0, -14.0]), np.array([0.5, 3.0]), 1.8, 16)
+    assert pair[0] == alone[0]
+    # in any batch, whatever its order and size
+    rng = np.random.default_rng(11)
+    y = rng.uniform(-14.0, 14.0, 3000)
+    rho_sq = rng.uniform(0.0, 200.0, 3000)
+    full = _profile_integral(y, rho_sq, 1.8, 16)
+    sub = rng.permutation(3000)[:700]
+    assert np.array_equal(_profile_integral(y[sub], rho_sq[sub], 1.8, 16), full[sub])
+    assert all(_profile_integral(y[i : i + 1], rho_sq[i], 1.8, 16)[0] == full[i] for i in sub[:50])
+    # any input shape; the result has y's
+    assert _profile_integral(y.reshape(30, 100), rho_sq.reshape(30, 100), 1.8, 16).shape == (30, 100)
+    assert np.array_equal(_profile_integral(y.reshape(30, 100), rho_sq.reshape(30, 100), 1.8, 16).ravel(), full)
+    assert _profile_integral(np.zeros((0, 2)), 1.0, 1.8).shape == (0, 2)
+
+
+def test_profile_gap_is_the_difference_of_two_profiles():
+    rng = np.random.default_rng(12)
+    y = rng.uniform(-14.0, 14.0, 500)
+    rho_sq = rng.uniform(0.0, 200.0, 500)
+    lam1 = _profile_integral(y, rho_sq, 1.8, 16)
+    lam2 = _profile_integral(y, np.zeros_like(y), 1.8, 16)
+    gap = _profile_integral(y, rho_sq, 1.8, 16, gap=True)
+    # relative to the larger profile, the roundoff scale of the difference
+    assert np.max(np.abs(gap - (lam1 - lam2)) / np.abs(lam2)) <= 1e-15
+
+
+def _unique_rows_directions(k):
+    # the sort-the-rows construction the integer keys replaced
+    prim = k // np.gcd.reduce(np.abs(k), axis=1)[:, None]
+    flip = (prim[:, 0] < 0) | ((prim[:, 0] == 0) & (prim[:, -1] < 0))
+    prim[flip] *= -1
+    prim, cls = np.unique(prim, axis=0, return_inverse=True)
+    dirs = prim / np.sqrt(np.sum(prim * prim, axis=-1))[:, None]
+    return dirs, cls.ravel(), np.where(flip, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_primitive_directions_match_sorted_rows(d):
+    rng = np.random.default_rng(13 + d)
+    for _ in range(10):
+        k = rng.integers(-12, 13, size=(300, d))
+        k = k[np.any(k != 0, axis=1)]
+        got = _primitive_directions(k.copy())
+        want = _unique_rows_directions(k.copy())
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+        dirs, cls, sign = got
+        assert np.allclose(sign[:, None] * dirs[cls], k / np.linalg.norm(k, axis=1)[:, None], rtol=0, atol=1e-15)
+
+
+def test_primitive_directions_of_a_closed_gate():
+    # no open node: no class, and the shapes the callers index with
+    k = np.empty((0, 2), dtype=np.int64)
+    got = _primitive_directions(k.copy())
+    want = _unique_rows_directions(k.copy())
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+    assert got[0].shape == (0, 2)
 
 
 def test_gate_zero_region_exact():
