@@ -555,11 +555,10 @@ class ConjugatedGenerator:
         return (self.weight(t) * self.pair.apply(f.ravel())).reshape(self.grid.shape)
 
     def min_eig(self, gv: np.ndarray) -> float:
-        """Smallest eigenvalue of the Hermitian part of i Lap - gv, formed
-        in gv's own storage: gv is overwritten."""
-        lap, _ = self.pieces._dense_blocks()
+        """Smallest eigenvalue of the Hermitian part of -gv, formed in gv's
+        own storage: gv is overwritten.  It is also that of i Lap - gv,
+        since the Hermitian Lap makes i Lap skew-Hermitian."""
         gv *= -1
-        gv += 1j * lap
         return hermitian_min_eig(DenseOp(self.grid, gv, "composite"))
 
 
@@ -572,8 +571,9 @@ def solve_conjugated(problem: Problem, grid: Grid, dt: float, params: LambdaPara
     conditioning cap.  Each step runs the preconditioned GMRES of solve on
     G_v, applied matrix-free, and the report carries its "gmres" block.
     With eig_stride > 0, the smallest eigenvalue of the Hermitian part of
-    i Lap - G_v, a function of t alone, is sampled outside the loop at t=0
-    and at every that many steps and the last, of those taken; its uniform
+    -G_v (that of i Lap - G_v, i Lap being skew-Hermitian), a function of t
+    alone, is sampled outside the loop at t=0 and at every that many steps
+    and the last, of those taken; eig_stride < 0 is refused.  Its uniform
     lower bound is the discrete form of the energy inequality the weight is
     designed to produce.  The report carries cond_e0, the condition number
     the cap was checked on.  The trace holds the norms of v; the boundary
@@ -581,6 +581,8 @@ def solve_conjugated(problem: Problem, grid: Grid, dt: float, params: LambdaPara
     """
     if abs(schedule.T - problem.T) > 1e-12:
         raise ValueError("schedule horizon differs from problem horizon")
+    if eig_stride < 0:
+        raise ValueError(f"eig_stride must be >= 0, got {eig_stride}")
     nsteps = _steps_for(problem.T, dt)
 
     pair = WeightPair(grid, lambda_on_grid(grid, params))
@@ -653,11 +655,13 @@ def estimate_loss_delta(phi, t: float, delta_grid, *, sigma: float, s: float, rh
     phi(t, x) is the log of the exact state magnitude.  For each delta the
     weighted-tail exponent w(x) = Re phi(t, x) + (rho2_g - delta) <x>^(1/s)
     is fitted on 20 <= x <= 80 against the powers <x>^(1-sigma) and
-    <x>^(1/s) (a single combined coefficient when the two coincide).  The
-    dominant-power coefficient decides the verdict, a coefficient within
-    1e-7 of zero counting as absent; ties fall to the lower power and then
-    to the polynomial criterion 2 m2 < -1.  infimal_delta is the smallest
-    convergent candidate.
+    <x>^(1/s) (a single combined coefficient when the two coincide).  Since
+    <x>^(1/s) is one of the columns and least squares is linear, one fit at
+    delta = 0 serves the whole grid: a loss delta lowers the <x>^(1/s)
+    coefficient by exactly delta.  The dominant-power coefficient decides
+    the verdict, a coefficient within 1e-7 of zero counting as absent; ties
+    fall to the lower power and then to the polynomial criterion
+    2 m2 < -1.  infimal_delta is the smallest convergent candidate.
     """
     p = 1.0 - sigma
     q = 1.0 / s
@@ -666,46 +670,29 @@ def estimate_loss_delta(phi, t: float, delta_grid, *, sigma: float, s: float, rh
     bx = np.sqrt(1.0 + x * x)
     base = np.real(np.asarray(phi(t, x), dtype=np.complex128))
     critical = abs(p - q) < 1e-9
+    powers = (q,) if critical else (p, q)
+    cols = np.stack([bx**pw for pw in powers] + [np.ones_like(x)], axis=1)
+    coef, *_ = np.linalg.lstsq(cols, base + rho2_g * bx**q, rcond=None)
 
-    def poly_verdict() -> str:
-        return "convergent" if 2.0 * m2 < -1.0 else "divergent"
-
-    classification: list[str] = []
-    fits: list[dict] = []
-    for delta in delta_grid:
-        wvals = base + (rho2_g - float(delta)) * bx**q
-        if critical:
-            cols = np.stack([bx**q, np.ones_like(x)], axis=1)
-            coef, *_ = np.linalg.lstsq(cols, wvals, rcond=None)
-            c_hi, c_lo = float(coef[0]), None
-        else:
-            cols = np.stack([bx**p, bx**q, np.ones_like(x)], axis=1)
-            coef, *_ = np.linalg.lstsq(cols, wvals, rcond=None)
-            if p > q:
-                c_hi, c_lo = float(coef[0]), float(coef[1])
-            else:
-                c_hi, c_lo = float(coef[1]), float(coef[0])
-        if c_hi > tol:
-            verdict = "divergent"
-        elif c_hi < -tol:
-            verdict = "convergent"
-        elif c_lo is not None and c_lo > tol:
-            verdict = "divergent"
-        elif c_lo is not None and c_lo < -tol:
-            verdict = "convergent"
-        else:
-            verdict = poly_verdict()
-        classification.append(verdict)
-        fits.append({"delta": float(delta), "dominant_coef": c_hi, "secondary_coef": c_lo})
-
-    infimal = None
-    for d, v in zip(delta_grid, classification):
-        if v == "convergent":
-            infimal = float(d) if infimal is None else min(infimal, float(d))
+    deltas = np.asarray(delta_grid, dtype=np.float64)
+    c = np.tile(coef[: len(powers)], (deltas.size, 1))
+    c[:, -1] -= deltas
+    # one row per candidate, the dominant power's coefficient first
+    c = c[:, np.argsort(powers)[::-1]]
+    verdicts = np.select(
+        [cond for col in c.T for cond in (col > tol, col < -tol)],
+        ["divergent", "convergent"] * len(powers),
+        default="convergent" if 2.0 * m2 < -1.0 else "divergent",
+    )
+    fits = [
+        {"delta": float(d), "dominant_coef": float(row[0]), "secondary_coef": None if critical else float(row[1])}
+        for d, row in zip(deltas, c)
+    ]
+    convergent = deltas[verdicts == "convergent"]
     return {
-        "delta_grid": [float(d) for d in delta_grid],
-        "classification": classification,
-        "infimal_delta": infimal,
+        "delta_grid": deltas.tolist(),
+        "classification": verdicts.tolist(),
+        "infimal_delta": float(convergent.min()) if convergent.size else None,
         "fits": fits,
         "critical": critical,
         "powers": {"growth": p, "decay": q},

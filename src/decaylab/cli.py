@@ -122,23 +122,25 @@ _SOLVE_DEFAULTS = {
 }
 
 
-def _apply_config(args) -> None:
-    """Fill solve options from a JSON config file.
-
-    Flags given on the command line win; config values replace untouched
-    defaults.  A missing or malformed file is an input error."""
-    path = Path(args.config)
-    if not path.is_file():
-        raise FileNotFoundError(f"config file not found: {args.config}")
-    cfg = json.loads(path.read_text())
-    if not isinstance(cfg, dict):
-        raise ValueError("config file must hold a JSON object")
-    unknown = sorted(set(cfg) - set(_SOLVE_DEFAULTS))
-    if unknown:
-        raise ValueError(f"unknown config keys: {unknown}")
-    for key, val in cfg.items():
-        if getattr(args, key) == _SOLVE_DEFAULTS[key]:
-            setattr(args, key, val)
+def _resolve_solve_options(args) -> None:
+    """Settle each solve option: the flag if given, else the --config file's
+    value, else _SOLVE_DEFAULTS.  The flags default to None, so a flag that
+    repeats a default still wins over the file.  A missing or malformed
+    file is an input error."""
+    cfg = {}
+    if args.config is not None:
+        path = Path(args.config)
+        if not path.is_file():
+            raise FileNotFoundError(f"config file not found: {args.config}")
+        cfg = json.loads(path.read_text())
+        if not isinstance(cfg, dict):
+            raise ValueError("config file must hold a JSON object")
+        unknown = sorted(set(cfg) - set(_SOLVE_DEFAULTS))
+        if unknown:
+            raise ValueError(f"unknown config keys: {unknown}")
+    for key, default in _SOLVE_DEFAULTS.items():
+        if getattr(args, key) is None:
+            setattr(args, key, cfg.get(key, default))
 
 
 def _pick_example(eid: int, sigma: float, s: float, T: float):
@@ -162,8 +164,7 @@ def _schedule(M: float, N: float, T: float, k0) -> ConjugationSchedule:
 
 
 def _cmd_solve(args, out: Path) -> dict:
-    if args.config is not None:
-        _apply_config(args)
+    _resolve_solve_options(args)
     if args.example is None:
         raise ValueError("an example id is required (--example or a config file)")
     ep = _pick_example(args.example, args.sigma, args.s, args.T)
@@ -206,6 +207,9 @@ def _cmd_verify_example(args, out: Path) -> dict:
     u0 = sample(grid, ep.problem.g).values
     u0_exact = ep.u_exact(0.0, grid.x)
     u0_diff = float(np.max(np.abs(u0 - u0_exact)))
+    # relative to the datum's size: example 3's grows like e^(<x>^(1/s)),
+    # where g (real exp) and u_exact (complex exp) differ by an ulp or two
+    u0_tol = 1e-14 * max(1.0, float(np.max(np.abs(u0_exact))))
     res = residual_check(ep, grid, ts)
     hyp = hypothesis_check(ep, L=min(args.L, 20.0), theta=2.0, t_samples=tuple(ts))
     # candidate losses must bracket the elapsed time: the critical family
@@ -229,7 +233,7 @@ def _cmd_verify_example(args, out: Path) -> dict:
             "critical": member["critical"],
         },
         "pass": (
-            u0_diff <= 1e-14
+            u0_diff <= u0_tol
             and res["max_residual"] <= 1e-12
             and hyp["pass"]
             and member["infimal_delta"] is not None
@@ -457,18 +461,17 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("solve", help="integrate an example and compare with its exact solution")
     sp.add_argument("--config", default=None, help="JSON file supplying any of the solve options")
-    sp.add_argument("--example", type=int, choices=(1, 2, 3), default=_SOLVE_DEFAULTS["example"])
-    sp.add_argument("--sigma", type=float, default=_SOLVE_DEFAULTS["sigma"])
-    sp.add_argument("--s", type=float, default=_SOLVE_DEFAULTS["s"])
-    sp.add_argument("--n", type=int, default=_SOLVE_DEFAULTS["n"])
-    sp.add_argument("--L", type=float, default=_SOLVE_DEFAULTS["L"], help="half box; default 40, 80 for example 2")
-    sp.add_argument("--dt", type=float, default=_SOLVE_DEFAULTS["dt"])
-    sp.add_argument("--T", type=float, default=_SOLVE_DEFAULTS["T"])
-    sp.add_argument("--method", choices=("krylov", "dense"), default=_SOLVE_DEFAULTS["method"])
-    sp.add_argument("--tol", type=float, default=_SOLVE_DEFAULTS["tol"])
-    sp.add_argument(
-        "--indices", default=_SOLVE_DEFAULTS["indices"], help="semicolon-separated m1,m2,rho1,rho2[,s,theta]"
-    )
+    # no defaults here: _resolve_solve_options takes the flag, the config, then _SOLVE_DEFAULTS
+    sp.add_argument("--example", type=int, choices=(1, 2, 3))
+    sp.add_argument("--sigma", type=float)
+    sp.add_argument("--s", type=float)
+    sp.add_argument("--n", type=int)
+    sp.add_argument("--L", type=float, help="half box; default 40, 80 for example 2")
+    sp.add_argument("--dt", type=float)
+    sp.add_argument("--T", type=float)
+    sp.add_argument("--method", choices=("krylov", "dense"))
+    sp.add_argument("--tol", type=float)
+    sp.add_argument("--indices", help="semicolon-separated m1,m2,rho1,rho2[,s,theta]")
     sp.set_defaults(fn=_cmd_solve)
 
     vp = sub.add_parser("verify-example", help="residual, data, and hypothesis checks of one family")

@@ -18,7 +18,7 @@ from decaylab.cauchy import (
     gronwall_check,
     estimate_loss_delta,
 )
-from decaylab.examples import example1, example2, _family
+from decaylab.examples import example1, example2, example3, _family
 from decaylab.grid import Grid, StateVector, apply_multiplier, forward_dft, inverse_dft, sample
 from decaylab.gsnorm import GsIndices
 from decaylab.pdo import DenseOp, WeightPair, assemble_dense, hermitian_min_eig
@@ -557,15 +557,18 @@ def test_conjugated_preconditioned_step_matches_dense():
 
 def test_conjugated_min_eig_matches_out_of_place_formula():
     # dense and min_eig work in place; the values must be bit for bit those
-    # of S(t) * (E0 G E0^-1) + k'(t) diag(w) and of i Lap - G_v
+    # of S(t) * (E0 G E0^-1) + k'(t) diag(w) and of -G_v
     gen, _, sched = _open_gate_generator()
     t = 0.3
     s_fac = np.exp(sched.k(t) * (gen.w[:, None] - gen.w[None, :]))
     gv = s_fac * gen.pair.conjugate(gen.pieces.dense(t)) + np.diag(sched.kprime(t) * gen.w)
     assert np.array_equal(gen.dense(t), gv)
+    got = gen.min_eig(gen.dense(t))
+    assert got == hermitian_min_eig(DenseOp(gen.grid, -gv, "composite"))
+    # i Lap is skew-Hermitian: leaving it out moves the value by roundoff only
     lap, _ = gen.pieces._dense_blocks()
-    want = hermitian_min_eig(DenseOp(gen.grid, 1j * lap - gv, "composite"))
-    assert gen.min_eig(gen.dense(t)) == want
+    with_lap = hermitian_min_eig(DenseOp(gen.grid, 1j * lap - gv, "composite"))
+    assert abs(got - with_lap) <= 1e-13 * abs(with_lap)
 
 
 @pytest.mark.parametrize(
@@ -742,3 +745,78 @@ def test_loss_classifier_tie_falls_to_polynomial_rule():
     rep_d = estimate_loss_delta(phi, 0.5, [0.0], sigma=0.5, s=2.0, rho2_g=0.0, m2=-0.49)
     assert rep_c["classification"] == ["convergent"]
     assert rep_d["classification"] == ["divergent"]
+
+
+def _loss_delta_reference(phi, t, delta_grid, *, sigma, s, rho2_g, m2=0.0):
+    # one least-squares fit per candidate loss, on the classifier's columns
+    p, q, tol = 1.0 - sigma, 1.0 / s, 1e-7
+    x = np.linspace(20.0, 80.0, 1024)
+    bx = np.sqrt(1.0 + x * x)
+    base = np.real(np.asarray(phi(t, x), dtype=np.complex128))
+    critical = abs(p - q) < 1e-9
+    verdicts, coefs = [], []
+    for delta in delta_grid:
+        w = base + (rho2_g - delta) * bx**q
+        if critical:
+            coef = np.linalg.lstsq(np.stack([bx**q, np.ones_like(x)], axis=1), w, rcond=None)[0]
+            c_hi, c_lo = coef[0], None
+        else:
+            cols = np.stack([bx**p, bx**q, np.ones_like(x)], axis=1)
+            coef = np.linalg.lstsq(cols, w, rcond=None)[0]
+            c_hi, c_lo = (coef[0], coef[1]) if p > q else (coef[1], coef[0])
+        verdict = "convergent" if 2.0 * m2 < -1.0 else "divergent"
+        for c in (c_hi, c_lo):
+            if c is not None and abs(c) > tol:
+                verdict = "divergent" if c > 0 else "convergent"
+                break
+        verdicts.append(verdict)
+        coefs.append((c_hi, c_lo))
+    conv = [d for d, v in zip(delta_grid, verdicts) if v == "convergent"]
+    return verdicts, (min(conv) if conv else None), coefs
+
+
+def _classifier_cases():
+    for sigma in (0.3, 0.5, 0.7):
+        thr = 1.0 / (1.0 - sigma)
+        yield from (
+            (sigma, example1(sigma, 0.9 * thr)),
+            (sigma, example2(sigma)),
+            (sigma, example3(sigma, 0.9 * thr)),
+            (sigma, _family(sigma, 1.5 * thr, -1.0, 0.5, "sharpness-upper", 1.0)),
+        )
+
+
+def test_loss_classifier_matches_per_candidate_fits():
+    # a loss delta only shifts the <x>^(1/s) coefficient, so the one-fit
+    # classifier agrees with a fit per candidate to roundoff
+    deltas = [round(0.01 * k, 10) for k in range(1, 121)]
+    for sigma, ep in _classifier_cases():
+        s = ep.problem.s0
+        for t in (0.25, 0.5, 1.0):
+            for rho2 in (ep.rho2_data, 0.5):
+                rep = estimate_loss_delta(ep.phi, t, deltas, sigma=sigma, s=s, rho2_g=rho2)
+                verdicts, infimal, coefs = _loss_delta_reference(ep.phi, t, deltas, sigma=sigma, s=s, rho2_g=rho2)
+                assert rep["classification"] == verdicts
+                assert rep["infimal_delta"] == infimal
+                for fit, (c_hi, c_lo) in zip(rep["fits"], coefs):
+                    assert abs(fit["dominant_coef"] - c_hi) <= 1e-11
+                    if c_lo is None:
+                        assert fit["secondary_coef"] is None
+                    else:
+                        assert abs(fit["secondary_coef"] - c_lo) <= 1e-11
+
+
+def test_loss_classifier_makes_one_fit_per_call(monkeypatch):
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    deltas = [0.01 * k for k in range(1, 100)]
+    for ep in (example1(0.5, 1.8), example2(0.5)):
+        before = len(calls)
+        estimate_loss_delta(ep.phi, 0.5, deltas, sigma=0.5, s=ep.problem.s0, rho2_g=1.0)
+        assert len(calls) - before == 1

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from decaylab.cauchy import solve_conjugated
+from decaylab import cli
 from decaylab.cli import emit_plot, main
 from decaylab.examples import example1
-from decaylab.grid import Grid
+from decaylab.grid import Grid, StateVector
 from decaylab.svgplot import line_plot_svg
 from decaylab.symbol import ConjugationSchedule, LambdaParams
 
@@ -69,6 +70,10 @@ def test_solve_config_file(tmp_path):
     assert rc == 0
     assert report["tol"] == 0.01
     assert report["n"] == 128
+    # a flag that repeats a default still wins over the config
+    rc, report, _ = _run(tmp_path, "solve", "--config", str(cfg), "--tol", "0.01", "--n", "1024")
+    assert rc == 0
+    assert report["n"] == 1024
 
 
 def test_solve_example_2_passes_at_its_defaults(tmp_path):
@@ -326,11 +331,16 @@ def test_norm_sweep_bad_box_exits_2(tmp_path):
         (["energy", "--example", "1", "--conjugated", "--dt", "0"], "dt must be finite and positive"),
         (["norm-sweep", "--dx", "0"], "dx must be positive"),
         (["symbol-check", "--cap", "0"], "direction_cap must be at least 1"),
+        (["energy", "--example", "1", "--conjugated", "--eig-stride", "-1"], "eig_stride must be >= 0"),
     ],
-    ids=["solve-dt0", "energy-dt0", "energy-conjugated-dt0", "norm-sweep-dx0", "symbol-check-cap0"],
+    ids=[
+        "solve-dt0", "energy-dt0", "energy-conjugated-dt0", "norm-sweep-dx0", "symbol-check-cap0",
+        "energy-conjugated-eig-stride-neg",
+    ],
 )
 def test_degenerate_step_or_cap_exits_2(tmp_path, capsys, argv, needle):
-    # a zero step divides by zero; a zero cap checks no direction
+    # a zero step divides by zero; a zero cap checks no direction; a
+    # negative stride would pass with no eigenvalue sample
     rc, report, _ = _run(tmp_path, *argv)
     assert rc == 2
     assert report == {}
@@ -389,3 +399,17 @@ def test_emit_plot_writes_identical_bytes(tmp_path):
     emit_plot(tmp_path / "p1.svg", series, title="t", xlabel="x", ylabel="y")
     emit_plot(tmp_path / "p2.svg", series, title="t", xlabel="x", ylabel="y")
     assert (tmp_path / "p1.svg").read_bytes() == (tmp_path / "p2.svg").read_bytes()
+
+
+@pytest.mark.parametrize("flags", [("--L", "40"), ("--s", "1.9")], ids=["L40", "s1.9"])
+def test_verify_example_3_datum_gate_is_relative(tmp_path, monkeypatch, flags):
+    # example 3's datum grows like e^(<x>^(1/s)); real and complex exp
+    # differ there by an ulp or two, which the gate scales with the datum
+    rc, report, _ = _run(tmp_path, "verify-example", "--id", "3", *flags)
+    assert rc == 0
+    assert report["u0_max_diff"] > 1e-14
+    real_sample = cli.sample
+    monkeypatch.setattr(cli, "sample", lambda g, f: StateVector(g, real_sample(g, f).values * (1.0 + 1e-12)))
+    rc, report, _ = _run(tmp_path, "verify-example", "--id", "3", *flags)
+    assert rc == 1
+    assert report["pass"] is False
