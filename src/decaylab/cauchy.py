@@ -41,6 +41,7 @@ classifier live here too.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -170,10 +171,10 @@ class _GeneratorPieces:
         for ax in range(self.grid.dim):
             aco = self._sample(self.problem.a[ax], t)
             if aco is not None:
-                out = out - aco * apply_multiplier(u, self.deriv_mults[ax]).values
+                out -= aco * apply_multiplier(u, self.deriv_mults[ax]).values
         bco = self._sample(self.problem.b, t)
         if bco is not None:
-            out = out - bco * u.values
+            out -= bco * u.values
         return out
 
     def free_step(self, h: float) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -186,19 +187,27 @@ class _GeneratorPieces:
 
     def preconditioned_apply(self, t: float, h: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(A P y, P y) for a flat y: A = I - h G(t), P the free step, so
-        A P y = y + h (a . (dP) y + b P y), no Laplacian."""
+        A P y = y + h (a . (dP) y + b P y), no Laplacian.  The sum builds up
+        in the FFT outputs made here, never in a coefficient sample."""
         p, dps = self.free_step(h)
         st = StateVector(self.grid, y.reshape(self.grid.shape))
         py = apply_multiplier(st, p).values
-        lower = np.zeros_like(py)
+        lower = None
         for ax in range(self.grid.dim):
             aco = self._sample(self.problem.a[ax], t)
             if aco is not None:
-                lower = lower + aco * apply_multiplier(st, dps[ax]).values
+                term = apply_multiplier(st, dps[ax]).values
+                term *= aco
+                lower = term if lower is None else np.add(lower, term, out=lower)
         bco = self._sample(self.problem.b, t)
         if bco is not None:
-            lower = lower + bco * py
-        return y + h * lower.ravel(), py.ravel()
+            term = bco * py
+            lower = term if lower is None else np.add(lower, term, out=lower)
+        if lower is None:
+            return y.copy(), py.ravel()
+        lower *= h
+        lower += st.values
+        return lower.ravel(), py.ravel()
 
     def source(self, t: float) -> np.ndarray | None:
         """f(t) on grid.shape, or None for a homogeneous problem."""
@@ -238,6 +247,14 @@ _GMRES_TOL = 1e-12
 _PREDICTOR = ((), (1.0,), (2.0, -1.0), (3.0, -3.0, 1.0))
 
 
+def _combine(coefs: list[complex], vecs: list[np.ndarray]) -> np.ndarray:
+    """sum_j coefs[j] vecs[j] over the leading len(coefs) vectors."""
+    out = coefs[0] * vecs[0]
+    for c, v in zip(coefs[1:], vecs[1:]):
+        out += c * v
+    return out
+
+
 def _gmres(apply_ap, b: np.ndarray, y0: np.ndarray, *, tol: float = _GMRES_TOL, restart: int = 60, max_restarts: int = 25) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     """Right-preconditioned restarted GMRES (Saad & Schultz 1986; Saad 2003,
     ch. 9) with complex Givens rotations, for A x = b with x = P y.
@@ -253,12 +270,15 @@ def _gmres(apply_ap, b: np.ndarray, y0: np.ndarray, *, tol: float = _GMRES_TOL, 
     (x, relres, y, A x): x = P y, the relative residual |b - A x| / |b| of
     that recurrence, y, and A x = b - r.  They equal a fresh apply at y and
     its true residual up to roundoff.  A zero b returns zeros and no apply
-    is made.
+    is made.  The Hessenberg entries, rotations, g and z are Python complex
+    scalars, and the q_j and P q_j grow as lists, so a cycle of k Arnoldi
+    steps allocates O(k) vectors, not (restart + 1) x n blocks; y0 is never
+    written.
     """
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros_like(b), 0.0, np.zeros_like(b), np.zeros_like(b)
-    y = y0.copy()
+    y = y0
     ap, x = apply_ap(y)
     r = b - ap
     relres = float(np.linalg.norm(r)) / bnorm
@@ -266,43 +286,46 @@ def _gmres(apply_ap, b: np.ndarray, y0: np.ndarray, *, tol: float = _GMRES_TOL, 
         if relres <= tol:
             break
         beta = relres * bnorm
-        q = np.empty((restart + 1, b.size), dtype=np.complex128)
-        pq = np.empty((restart, b.size), dtype=np.complex128)  # P q_j
-        q[0] = r * (1.0 / beta)
-        hess = np.zeros((restart + 1, restart), dtype=np.complex128)
-        g = np.zeros(restart + 1, dtype=np.complex128)
-        g[0] = beta
-        rots = []
+        q = [r * (1.0 / beta)]
+        pq = []  # P q_j
+        cols = []  # rotated Hessenberg columns, cols[j][i] = R[i, j] for i <= j
+        rots = []  # (c, s) of [[conj c, s], [-s, c]], s real
+        g = [complex(beta)]
         for j in range(restart):
-            w, pq[j] = apply_ap(q[j])
-            for i in range(j + 1):
-                hess[i, j] = np.vdot(q[i], w)
-                w = w - hess[i, j] * q[i]
+            w, pqj = apply_ap(q[j])
+            pq.append(pqj)
+            col = []
+            for qi in q:
+                hij = complex(np.vdot(qi, w))
+                w = w - hij * qi
+                col.append(hij)
             hnorm = float(np.linalg.norm(w))
-            q[j + 1] = w * (1.0 / hnorm) if hnorm > 0.0 else w
-            for i, rot in enumerate(rots):
-                hess[i : i + 2, j] = rot @ hess[i : i + 2, j]
-            # [[conj c, s], [-s, c]] with real s maps (h_jj, hnorm) to (rho, 0)
-            rho = np.hypot(abs(hess[j, j]), hnorm)
-            c, s = hess[j, j] / rho, hnorm / rho
-            rots.append(np.array([[np.conj(c), s], [-s, c]]))
-            hess[j : j + 2, j] = (rho, 0.0)
-            g[j : j + 2] = rots[j] @ g[j : j + 2]
+            q.append(w * (1.0 / hnorm) if hnorm > 0.0 else w)
+            for i, (c, sn) in enumerate(rots):
+                col[i], col[i + 1] = c.conjugate() * col[i] + sn * col[i + 1], c * col[i + 1] - sn * col[i]
+            # the new rotation maps (h_jj, hnorm) to (rho, 0)
+            rho = math.hypot(abs(col[j]), hnorm)
+            c, sn = col[j] / rho, hnorm / rho
+            rots.append((c, sn))
+            col[j] = complex(rho)
+            cols.append(col)
+            g.append(-sn * g[j])
+            g[j] = c.conjugate() * g[j]
             if abs(g[j + 1]) <= tol * bnorm or hnorm <= 1e-14 * beta:
                 break
         k = j + 1
         # back substitution: cheaper than a general solve at the usual k of 1-2
-        z = np.empty(k, dtype=np.complex128)
+        z = [0j] * k
         for i in reversed(range(k)):
-            z[i] = (g[i] - hess[i, i + 1 : k] @ z[i + 1 :]) / hess[i, i]
-        y = y + q[:k].T @ z
-        x = x + pq[:k].T @ z
+            z[i] = (g[i] - sum(cols[m][i] * z[m] for m in range(i + 1, k))) / cols[i][i]
+        y = y + _combine(z, q)
+        x = x + _combine(z, pq)
         # Omega^H e_(k+1) g[k]: the rotations undone, last first
-        e = np.zeros(k + 1, dtype=np.complex128)
-        e[k] = g[k]
+        e = [0j] * k + [g[k]]
         for i in reversed(range(k)):
-            e[i : i + 2] = rots[i].conj().T @ e[i : i + 2]
-        r = q[: k + 1].T @ e
+            c, sn = rots[i]
+            e[i], e[i + 1] = c * e[i] - sn * e[i + 1], sn * e[i] + c.conjugate() * e[i + 1]
+        r = _combine(e, q)
         ap = b - r
         relres = float(np.linalg.norm(r)) / bnorm
     return x, relres, y, ap

@@ -126,7 +126,7 @@ def _resolve_solve_options(args) -> None:
     """Settle each solve option: the flag if given, else the --config file's
     value, else _SOLVE_DEFAULTS.  The flags default to None, so a flag that
     repeats a default still wins over the file.  A missing or malformed
-    file is an input error."""
+    file, and a value its flag would not accept, are input errors."""
     cfg = {}
     if args.config is not None:
         path = Path(args.config)
@@ -140,7 +140,20 @@ def _resolve_solve_options(args) -> None:
             raise ValueError(f"unknown config keys: {unknown}")
     for key, default in _SOLVE_DEFAULTS.items():
         if getattr(args, key) is None:
-            setattr(args, key, cfg.get(key, default))
+            setattr(args, key, _config_value(args.solve_flags[key], cfg[key]) if key in cfg else default)
+
+
+def _config_value(flag: argparse.Action, value):
+    """A config value as its flag parses it: the flag's type applied to the
+    value's text (a JSON number's as written), then the flag's choices."""
+    text = value if isinstance(value, str) else json.dumps(value)
+    try:
+        out = text if flag.type is None else flag.type(text)
+    except ValueError:
+        raise ValueError(f"config key {flag.dest!r}: invalid {flag.type.__name__} value {value!r}") from None
+    if flag.choices is not None and out not in flag.choices:
+        raise ValueError(f"config key {flag.dest!r}: {value!r} is not one of {list(flag.choices)}")
+    return out
 
 
 def _pick_example(eid: int, sigma: float, s: float, T: float):
@@ -290,8 +303,14 @@ def _cmd_conjugation_check(args, out: Path) -> dict:
         gen = ConjugatedGenerator(ep.problem, pair, params, sched, cond_cap=1e14)
         return gen.min_eig(gen.dense(args.t))
 
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as ex:
-        eigs = list(ex.map(min_eig_for, hs))
+    if args.threads <= 1:
+        # in this thread: a one-worker pool runs nothing in parallel, and its
+        # thread's malloc arena kept 6 MB of freed n x n blocks resident at
+        # n=512 once the coefficients' parts lived there
+        eigs = [min_eig_for(h) for h in hs]
+    else:
+        with ThreadPoolExecutor(max_workers=args.threads) as ex:
+            eigs = list(ex.map(min_eig_for, hs))
 
     rows = []
     for row, me in zip(sweep["rows"], eigs):
@@ -455,24 +474,26 @@ def _cmd_norm_sweep(args, out: Path) -> dict:
 def _build_parser() -> _Parser:
     p = _Parser(prog="decaylab", description=__doc__)
     p.add_argument("--out", default="out", help="output directory for reports, tables, plots")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for conjugation-check's per-h min-eig; no other command uses them")
+    p.add_argument("--threads", type=int, default=1, help="worker threads for conjugation-check's per-h min-eig (1: none, the calling thread); no other command uses them")
     p.add_argument("--seed", type=int, default=0, help="seed of symbol-check's direction sample; no other command draws one")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("solve", help="integrate an example and compare with its exact solution")
     sp.add_argument("--config", default=None, help="JSON file supplying any of the solve options")
     # no defaults here: _resolve_solve_options takes the flag, the config, then _SOLVE_DEFAULTS
-    sp.add_argument("--example", type=int, choices=(1, 2, 3))
-    sp.add_argument("--sigma", type=float)
-    sp.add_argument("--s", type=float)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--L", type=float, help="half box; default 40, 80 for example 2")
-    sp.add_argument("--dt", type=float)
-    sp.add_argument("--T", type=float)
-    sp.add_argument("--method", choices=("krylov", "dense"))
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--indices", help="semicolon-separated m1,m2,rho1,rho2[,s,theta]")
-    sp.set_defaults(fn=_cmd_solve)
+    flags = (
+        sp.add_argument("--example", type=int, choices=(1, 2, 3)),
+        sp.add_argument("--sigma", type=float),
+        sp.add_argument("--s", type=float),
+        sp.add_argument("--n", type=int),
+        sp.add_argument("--L", type=float, help="half box; default 40, 80 for example 2"),
+        sp.add_argument("--dt", type=float),
+        sp.add_argument("--T", type=float),
+        sp.add_argument("--method", choices=("krylov", "dense")),
+        sp.add_argument("--tol", type=float),
+        sp.add_argument("--indices", help="semicolon-separated m1,m2,rho1,rho2[,s,theta]"),
+    )
+    sp.set_defaults(fn=_cmd_solve, solve_flags={a.dest: a for a in flags})
 
     vp = sub.add_parser("verify-example", help="residual, data, and hypothesis checks of one family")
     vp.add_argument("--id", type=int, choices=(1, 2, 3), required=True)

@@ -25,6 +25,22 @@ transcribed formula.  The members:
                                               threshold (cli sharpness)
 
 All members are one-dimensional with f = 0; problem.s0 is their index s.
+
+With tau = t - t0 both coefficients are affine in tau over parts that
+depend on x alone.  With p = 1 - sigma, q = 1/s and E = eps q x <x>^(q-2),
+
+    a = i tau A,                 A  = p x <x>^(-sigma-1)
+    b = B0 + i (tau C1 + C0),    B0 = -<x>^p
+                                 C1 = phi_xx of <x>^p + A E
+                                 C0 = phi_xx of eps <x>^q + E^2,
+
+since phi_x = tau A + E gives phi_x^2 - alpha phi_x = tau A E + E^2.  Each
+family keeps one slot: the node array it last sampled on, held so that no
+other array can take its id, and the parts built on it.  A call on the
+same array object, as every step of a run makes on grid.x_mesh, costs at
+most two vector operations.  A call on a new array replaces the slot and builds
+only what it needs: A for a, every part for b.  Each call returns a new
+array.
 """
 from __future__ import annotations
 
@@ -97,26 +113,54 @@ def _family(sigma: float, s: float, eps: float, T: float, label: str, rho2_data:
         decay = eps * q * (_bracket_pow(x, q - 2.0) + (q - 2.0) * x * x * _bracket_pow(x, q - 4.0))
         return grow + decay
 
+    # the per-grid parts of a and b (module docstring): one slot holds the
+    # node array last sampled on, so that no other array can take its id,
+    # and the parts built on it so far
+    slot = [(None, {})]
+
+    def parts(x: np.ndarray) -> dict:
+        key, got = slot[0]
+        if key is not x:
+            # a new dict, never a cleared one: a thread still holding the old
+            # one keeps the parts of its own array
+            got = {}
+            slot[0] = (x, got)
+        return got
+
     def a1(t, x):
-        # i alpha, alpha the x-derivative of the growing part of phi
+        # a = i tau A with A = (1-sigma) xg; a miss builds xg alone
         x = np.asarray(x, dtype=np.float64)
-        return 1j * ((t - t0) * (1.0 - sigma) * x * _bracket_pow(x, -sigma - 1.0))
+        got = parts(x)
+        xg = got.get("a")
+        if xg is None:
+            xg = got["a"] = x * (1.0 + x * x) ** (-0.5 * (sigma + 1.0))
+        return xg * (1j * (t - t0) * (1.0 - sigma))
 
     def b(t, x):
-        # the same terms as phi_t, phi_x, phi_xx and alpha, from one power
-        # per part: <x>^(p+2) = (1+x^2) <x>^p and <x>^(p-2) = <x>^p / (1+x^2)
+        # b = i tau C1 - nb0 with nb0 = -B0 - i C0
         x = np.asarray(x, dtype=np.float64)
-        x2 = x * x
-        r2 = 1.0 + x2
-        grow = _bracket_pow(x, -sigma - 1.0)
-        c = (t - t0) * (1.0 - sigma) * grow * (1.0 + (-sigma - 1.0) * x2 / r2)
-        if eps != 0.0:
-            # without a decay part phi_x = alpha, and c is phi_xx alone
-            al = (t - t0) * (1.0 - sigma) * x * grow
-            decay = _bracket_pow(x, q - 2.0)
-            px = al + eps * q * x * decay
-            c = c + eps * q * decay * (1.0 + (q - 2.0) * x2 / r2) + px * px - al * px
-        return -r2 * grow + 1j * c
+        got = parts(x)
+        if "b" not in got:
+            # one power per part: x^2 <x>^(p-2) = w <x>^p, w = x^2 / (1+x^2)
+            x2 = x * x
+            r2 = 1.0 + x2
+            w = x2 / r2
+            grow = r2 ** (-0.5 * (sigma + 1.0))
+            nb0 = r2 * grow
+            c1 = 1.0 + (-sigma - 1.0) * w
+            if eps != 0.0:
+                ed = (eps * q) * r2 ** (0.5 * (q - 2.0))
+                e = x * ed
+                c1 += x * e
+                c0 = ed * (1.0 + (q - 2.0) * w)
+                c0 += e * e
+                nb0 = nb0 - 1j * c0
+            c1 *= (1.0 - sigma) * grow
+            got["b"] = (c1, nb0)
+        c1, nb0 = got["b"]
+        out = c1 * (1j * (t - t0))
+        out -= nb0
+        return out
 
     def g(x):
         return np.exp(phi(0.0, x)).astype(np.complex128)

@@ -422,6 +422,37 @@ def test_solve_2d_against_closed_form():
     assert 1.9 <= np.log2(errs[0] / errs[1]) <= 2.1
 
 
+def test_coefficient_samples_are_never_written_into():
+    # the applies build their sums in place, in arrays they made; a problem
+    # whose coefficients hand back the same arrays on every call sees them
+    # unchanged after both routes and a 2-D run
+    ep = example1(0.5, 1.8)
+    g = Grid(dim=1, n=128, L=15.0)
+    a_arr, b_arr = ep.problem.a[0](0.25, g.x), ep.problem.b(0.25, g.x)
+    prob = dataclasses.replace(ep.problem, a=(lambda t, x: a_arr,), b=lambda t, x: b_arr)
+    params = LambdaParams(M=1.0, h=12.0, s=1.8, sigma=0.5)
+    sched = ConjugationSchedule(M=1.0, Nconst=0.5, T=0.5, k0=2.0 * np.expm1(0.25))
+    g2 = Grid(dim=2, n=16, L=4.0)
+    c2 = [np.full(g2.shape, v, dtype=np.complex128) for v in (0.8j, -0.5j, 0.3 + 0.1j)]
+    prob2 = Problem(
+        dim=2, sigma=0.5, s0=2.0, a=(lambda t, x1, x2: c2[0], lambda t, x1, x2: c2[1]),
+        b=lambda t, x1, x2: c2[2], f=None, g=lambda x1, x2: np.exp(-(x1**2 + x2**2)), T=0.1,
+    )
+    samples = [a_arr, b_arr, *c2]
+    keep = [arr.copy() for arr in samples]
+    runs = (
+        solve(prob, g, 0.025),
+        solve(prob, g, 0.025, method="dense"),
+        solve_conjugated(prob, g, 0.025, params, sched),
+        solve(prob2, g2, 0.025),
+    )
+    for res in runs:
+        assert not res.report["aborted"]
+        assert res.report["steps_taken"] > 0
+    for arr, orig in zip(samples, keep):
+        assert arr.tobytes() == orig.tobytes()
+
+
 def test_edge_fraction_reads_both_ends_of_every_axis():
     line = np.zeros(8, dtype=np.complex128)
     line[4] = 2.0

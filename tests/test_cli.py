@@ -60,7 +60,7 @@ def test_rerun_is_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_solve_config_file(tmp_path):
+def test_solve_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
         "example": 1, "n": 128, "L": 15, "dt": 0.025, "T": 0.1, "tol": 1e-9,
@@ -74,6 +74,19 @@ def test_solve_config_file(tmp_path):
     rc, report, _ = _run(tmp_path, "solve", "--config", str(cfg), "--tol", "0.01", "--n", "1024")
     assert rc == 0
     assert report["n"] == 1024
+    # a config value is parsed as its flag parses it: "128" is the int 128
+    cfg.write_text(json.dumps({"example": "1", "n": "128", "L": 15, "dt": "0.025", "T": 0.1, "tol": 0.01}))
+    rc, report, _ = _run(tmp_path, "solve", "--config", str(cfg))
+    assert rc == 0
+    assert (report["example"], report["n"], report["L"], report["dt"]) == (1, 128, 15.0, 0.025)
+    # a value its flag would refuse exits 2 with an error naming the key
+    for bad in ({"n": 128.5}, {"n": "12x"}, {"dt": True}, {"method": "magic"}, {"example": 4}):
+        cfg.write_text(json.dumps({"example": 1, **bad}))
+        out = tmp_path / "bad"
+        assert main(["--out", str(out), "solve", "--config", str(cfg)]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        key = next(iter(bad))
+        assert err["exit_code"] == 2 and f"config key {key!r}" in err["error"]
 
 
 def test_solve_example_2_passes_at_its_defaults(tmp_path):

@@ -1,11 +1,50 @@
 """Closed-form families: residuals, correctors, growth hypotheses."""
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from decaylab.examples import example1, example2, example3, residual_check, hypothesis_check
+from decaylab.examples import _family, example1, example2, example3, residual_check, hypothesis_check
 from decaylab.grid import Grid, sample
+
+
+def _direct_coefficients(sigma, s, eps, t0=0.0):
+    """a and b of the family by the direct formulas, each call from scratch:
+    the reference the per-grid parts are checked against."""
+    q = 1.0 / s
+
+    def bp(x, p):
+        return (1.0 + x * x) ** (0.5 * p)
+
+    def a1(t, x):
+        x = np.asarray(x, dtype=np.float64)
+        return 1j * ((t - t0) * (1.0 - sigma) * x * bp(x, -sigma - 1.0))
+
+    def b(t, x):
+        x = np.asarray(x, dtype=np.float64)
+        x2 = x * x
+        r2 = 1.0 + x2
+        grow = bp(x, -sigma - 1.0)
+        c = (t - t0) * (1.0 - sigma) * grow * (1.0 + (-sigma - 1.0) * x2 / r2)
+        if eps != 0.0:
+            al = (t - t0) * (1.0 - sigma) * x * grow
+            decay = bp(x, q - 2.0)
+            px = al + eps * q * x * decay
+            c = c + eps * q * decay * (1.0 + (q - 2.0) * x2 / r2) + px * px - al * px
+        return -r2 * grow + 1j * c
+
+    return a1, b
+
+
+# (member, its (sigma, s, eps, t0)): examples 1-3 and the sharpness upper family
+MEMBERS = [
+    (lambda: example1(0.5, 1.8), (0.5, 1.8, -1.0, 0.0)),
+    (lambda: example2(0.5), (0.5, 2.0, 0.0, 1.0)),
+    (lambda: example3(0.5, 1.8), (0.5, 1.8, 1.0, 0.0)),
+    (lambda: _family(0.5, 2.5, -1.0, 0.5, "sharpness-upper", 1.0), (0.5, 2.5, -1.0, 0.0)),
+]
 
 
 def test_parameter_ranges():
@@ -129,3 +168,96 @@ def test_coefficient_growth_hypotheses():
         assert rep["re_a_zero"]
         assert np.isfinite(rep["C_max"])
         assert rep["fits"]["a_im"]["order"] == pytest.approx(-0.5)
+
+
+@pytest.mark.parametrize("make, params", MEMBERS)
+def test_coefficient_parts_match_direct_formulas(make, params):
+    ep = make()
+    t0 = params[3]
+    grid = Grid(dim=1, n=512, L=40.0)
+    for fn, ref in zip((ep.problem.a[0], ep.problem.b), _direct_coefficients(*params)):
+        for t in sorted({t0, 0.0, 0.1, 0.25, 0.5, 1.0}):
+            for x in (grid.x, np.linspace(-25.0, 25.0, 257)):
+                got, want = fn(t, x), ref(t, x)
+                for part in (np.real, np.imag):
+                    # relative to the part's size; a part that vanishes
+                    # (Re a, Im b at t = t0 for example 2) must vanish exactly
+                    scale = float(np.max(np.abs(part(want))))
+                    assert np.max(np.abs(part(got) - part(want))) <= 1e-14 * scale
+        # a hit on grid.x (its second call) equals a miss on an equal-valued
+        # copy to the bit
+        fn(0.25, grid.x)
+        hit = fn(0.25, grid.x)
+        miss = fn(0.25, grid.x.copy())
+        assert hit.tobytes() == miss.tobytes()
+        # every call returns its own array
+        first = fn(0.25, grid.x)
+        keep = first.copy()
+        first[:] = 7.0
+        assert fn(0.25, grid.x).tobytes() == keep.tobytes()
+
+
+def test_hypothesis_check_on_fresh_arrays_matches_direct_formulas():
+    # hypothesis_check hands nearly every coefficient call a fresh array, so
+    # the calls build their parts: same calls and, to 1e-12, the same fits
+    # as the direct formulas
+    calls = {}
+
+    def counted(name, fn):
+        def wrapped(t, x):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(t, x)
+
+        return wrapped
+
+    ep = example1(0.5, 1.8)
+    ref_a, ref_b = _direct_coefficients(0.5, 1.8, -1.0)
+    ref = dataclasses.replace(
+        ep, problem=dataclasses.replace(ep.problem, a=(counted("ref a", ref_a),), b=counted("ref b", ref_b))
+    )
+    new = dataclasses.replace(
+        ep, problem=dataclasses.replace(ep.problem, a=(counted("a", ep.problem.a[0]),), b=counted("b", ep.problem.b))
+    )
+    got, want = hypothesis_check(new), hypothesis_check(ref)
+    # three times, three difference points each; a again for Re a, b for Re b and Im b
+    assert calls == {"a": 12, "b": 18, "ref a": 12, "ref b": 18}
+    assert got["pass"] and want["pass"]
+    assert got["re_a_max"] == want["re_a_max"] == 0.0
+    for name, fit in want["fits"].items():
+        assert got["fits"][name]["C"] == pytest.approx(fit["C"], rel=1e-12)
+        for k, v in fit["per_beta"].items():
+            assert got["fits"][name]["per_beta"][k] == pytest.approx(v, rel=1e-12)
+
+
+def test_coefficient_slot_is_safe_across_threads():
+    # conjugation-check's worker threads (--threads > 1) sample one family's
+    # coefficients at once; with the slot switching between two arrays under a short switch
+    # interval, every call must still return its own array's values
+    ep = example1(0.5, 1.8)
+    ref_a, ref_b = _direct_coefficients(0.5, 1.8, -1.0)
+    xs = (Grid(dim=1, n=256, L=20.0).x, np.linspace(-30.0, 30.0, 256))
+    wants = [[ref(0.3, x) for ref in (ref_a, ref_b)] for x in xs]
+    bad = []
+
+    def worker(k):
+        try:
+            for i in range(300):
+                j = (i + k) % 2
+                for fn, want in zip((ep.problem.a[0], ep.problem.b), wants[j]):
+                    if np.max(np.abs(fn(0.3, xs[j]) - want)) > 1e-14 * np.max(np.abs(want)):
+                        bad.append((k, i))
+        except Exception as e:  # reported through bad, not lost in the thread
+            bad.append(repr(e))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert bad == []
