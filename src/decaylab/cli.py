@@ -1,15 +1,18 @@
 """Command-line harness: every check in the package as a subcommand.
 
-Each command writes a JSON report (sorted keys), the tables behind it as
-CSV, and an SVG plot where a curve is meaningful, all under --out.  The
-process exits 0 when the report passes, 1 when it completes but fails,
-and 2 on invalid input, printing a machine-readable error object in the
-last case.
+Each command writes the tables behind its report as CSV and an SVG plot
+where a curve is meaningful, all under --out; main then writes the report
+there as report.json (strict JSON, sorted keys, non-finite values as null)
+and prints the same text.  The process exits 0 when the report passes, 1
+when it completes but fails, and 2 on invalid input, printing a
+machine-readable error object in the last case.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -64,11 +67,19 @@ def emit_plot(path: Path, series: dict[str, list[tuple[float, float]]], *, title
     _write_text(path, line_plot_svg(series, title=title, xlabel=xlabel, ylabel=ylabel, logy=logy))
 
 
-def _write_json(path: Path, obj: dict) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=True) + "\n")
+def _strict(obj):
+    """obj with each non-finite float as None, for strict JSON; the report
+    says why beside it (abort_reason, an overflow flag)."""
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def _fmt_cell(v) -> str:
+    if type(v) is float:  # most cells; np.float64 and bool take the branches below
+        return repr(v)
     if isinstance(v, bool):
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
@@ -208,7 +219,6 @@ def _cmd_solve(args, out: Path) -> dict:
     }
     if series:
         emit_plot(out / "trace.svg", series, title="norm trace", xlabel="t", ylabel="norm")
-    _write_json(out / "report.json", report)
     return report
 
 
@@ -252,7 +262,6 @@ def _cmd_verify_example(args, out: Path) -> dict:
             and member["infimal_delta"] is not None
         ),
     }
-    _write_json(out / "report.json", report)
     return report
 
 
@@ -286,7 +295,6 @@ def _cmd_symbol_check(args, out: Path) -> dict:
         "c_of_lambda_lattice": {"dim": 1, "n": clam_n},
         "pass": tres["pass"],
     }
-    _write_json(out / "report.json", report)
     return report
 
 
@@ -334,7 +342,6 @@ def _cmd_conjugation_check(args, out: Path) -> dict:
         ylabel="|r1|",
         logy=all(r[1] > 0 for r in rows),
     )
-    _write_json(out / "report.json", report)
     return report
 
 
@@ -376,7 +383,6 @@ def _cmd_energy(args, out: Path) -> dict:
     _write_csv(out / "trace.csv", trace.header(), trace.rows())
     series = {lab: list(zip(trace.times, trace.columns[lab])) for lab in trace.labels}
     emit_plot(out / "trace.svg", series, title="energy trace", xlabel="t", ylabel="norm")
-    _write_json(out / "report.json", report)
     return report
 
 
@@ -399,27 +405,15 @@ def _cmd_sharpness(args, out: Path) -> dict:
         "above_all_divergent": all_div,
         "pass": all_conv and all_div,
     }
-    series = {
-        f"s={args.s_below:g}": [(f["delta"], f["dominant_coef"]) for f in est_b["fits"]],
-        f"s={args.s_above:g}": [(f["delta"], f["dominant_coef"]) for f in est_a["fits"]],
-    }
+    sides = ((args.s_below, est_b), (args.s_above, est_a))
+    series = {f"s={s:g}": [(f["delta"], f["dominant_coef"]) for f in est["fits"]] for s, est in sides}
     emit_plot(
         out / "sharpness.svg", series, title="dominant tail coefficient vs candidate loss",
         xlabel="delta", ylabel="coefficient",
     )
-    _write_csv(
-        out / "sharpness.csv",
-        ["s", "delta", "dominant_coef", "verdict"],
-        [
-            [args.s_below, f["delta"], f["dominant_coef"], v]
-            for f, v in zip(est_b["fits"], est_b["classification"])
-        ]
-        + [
-            [args.s_above, f["delta"], f["dominant_coef"], v]
-            for f, v in zip(est_a["fits"], est_a["classification"])
-        ],
-    )
-    _write_json(out / "report.json", report)
+    rows = [[s, f["delta"], f["dominant_coef"], v]
+            for s, est in sides for f, v in zip(est["fits"], est["classification"])]
+    _write_csv(out / "sharpness.csv", ["s", "delta", "dominant_coef", "verdict"], rows)
     return report
 
 
@@ -464,14 +458,16 @@ def _cmd_norm_sweep(args, out: Path) -> dict:
             {"norm": [(r.L, r.norm) for r in rows]},
             title="truncated norm vs box size", xlabel="L", ylabel="norm", logy=True,
         )
-    _write_json(out / "report.json", report)
     return report
 
 
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # one per process: building it costs milliseconds, and parse_args
+    # returns a fresh Namespace each call
     p = _Parser(prog="decaylab", description=__doc__)
     p.add_argument("--out", default="out", help="output directory for reports, tables, plots")
     p.add_argument("--threads", type=int, default=1, help="worker threads for conjugation-check's per-h min-eig (1: none, the calling thread); no other command uses them")
@@ -574,16 +570,20 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command.  It writes its tables and plots under --out; main
+    then writes the report there as report.json and prints the same text.
+    Returns the exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         report = args.fn(args, out)
+        text = json.dumps(_strict(report), indent=2, sort_keys=True, allow_nan=False)
+        _write_text(out / "report.json", text + "\n")
     except (_CliError, ValueError, FileNotFoundError, FileExistsError, NotADirectoryError) as e:
         print(json.dumps({"error": str(e), "exit_code": 2}, sort_keys=True))
         return 2
-    print(json.dumps(report, indent=2, sort_keys=True, default=str))
+    print(text)
     return 0 if report.get("pass", False) else 1
 
 

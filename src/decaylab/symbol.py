@@ -266,11 +266,15 @@ def _geometry(x, xi):
 
 def _blend(y, rho_sq, bx, params: LambdaParams) -> np.ndarray:
     """-(lambda1 * chi + lambda2 * (1 - chi)) given the direction geometry;
-    lambda2 = M F(y, 0) is the profile with the transverse offset dropped."""
-    lam1 = params.M * _profile_integral(y, rho_sq, params.s)
-    lam2 = params.M * _profile_integral(y, np.zeros_like(y), params.s)
+    lambda2 = M F(y, 0) is the profile with the transverse offset dropped,
+    integrated only where chi < 1: on the plateau both profiles are sign(y)
+    times a nonnegative integral, so adding lambda2 * 0 changes no bit."""
+    mix = params.M * _profile_integral(y, rho_sq, params.s)
     ct = _dir_profile(y / bx)
-    return -(lam1 * ct + lam2 * (1.0 - ct))
+    mix *= ct
+    off = ct < 1.0
+    mix[off] += params.M * _profile_integral(y[off], 0.0, params.s) * (1.0 - ct[off])
+    return -mix
 
 
 def _blend_slope(y, rho_sq, bx, params: LambdaParams, nnode: int) -> np.ndarray:
@@ -460,27 +464,28 @@ def transport_sign_check(grid: Grid, params: LambdaParams, *, direction_cap: int
 # derivative growth check
 
 
-def gevrey_bound_check(fn, fixed_pts, diff_pts, *, theta: float, order: float = 0.0) -> dict:
-    """Fit the smallest C with |d^k fn| <= C^(k+1) (k!)^theta <arg>^(order - k)
-    over a 1-D sample, for k = 0, 1, 2.
+def gevrey_bound_check(fn, x, orders, *, theta: float) -> list[dict]:
+    """Fit, for each of several functions f on a 1-D sample x, the smallest
+    C with |d^k f| <= C^(k+1) (k!)^theta <x>^(order - k), for k = 0, 1, 2.
 
-    fn(fixed, diff) takes (npts, 1) columns and is differentiated in diff by
-    central differences with per-point steps of 1e-2 <diff>.  Returns the
-    fitted constants per order ("0", "1", "2") and their maximum.
+    fn(nodes) returns one row per function with its values on the node
+    array along the last axis (a row may stack several samples, such as
+    times, ahead of it).  It is called once on each of x, x + step and
+    x - step, step = 1e-2 <x> per point, and the rows are differentiated by
+    central differences.  orders holds each function's base order.  Returns
+    one fit per function over all its samples: the constants per order
+    ("0", "1", "2") and their maximum.
     """
-    fixed = np.asarray(fixed_pts, dtype=np.float64).reshape(-1, 1)
-    diff = np.asarray(diff_pts, dtype=np.float64).reshape(-1, 1)
-    bh = np.sqrt(1.0 + diff[:, 0] * diff[:, 0])
+    x = np.asarray(x, dtype=np.float64)
+    bh = np.sqrt(1.0 + x * x)
     step = 1e-2 * bh
-
-    def ev(offset: np.ndarray) -> np.ndarray:
-        return np.asarray(fn(fixed, diff + offset[:, None]), dtype=np.float64)
-
-    f0 = ev(np.zeros_like(step))
-    fp, fm = ev(step), ev(-step)
-    ders = (f0, (fp - fm) / (2.0 * step), (fp - 2.0 * f0 + fm) / step**2)
-    per: dict[str, float] = {}
-    for k, der in enumerate(ders):
-        env = math.factorial(k) ** theta * bh ** (order - k)
-        per[str(k)] = float(np.max(np.abs(der) / env) ** (1.0 / (k + 1.0)))
-    return {"C": max(per.values()), "per_beta": per}
+    f0, fp, fm = (np.asarray(fn(nodes), dtype=np.float64) for nodes in (x, x + step, x - step))
+    fits = []
+    for r, order in enumerate(orders):
+        ders = (f0[r], (fp[r] - fm[r]) / (2.0 * step), (fp[r] - 2.0 * f0[r] + fm[r]) / step**2)
+        per: dict[str, float] = {}
+        for k, der in enumerate(ders):
+            env = math.factorial(k) ** theta * bh ** (order - k)
+            per[str(k)] = float(np.max(np.abs(der) / env) ** (1.0 / (k + 1.0)))
+        fits.append({"C": max(per.values()), "per_beta": per})
+    return fits

@@ -372,6 +372,69 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys):
     assert target.read_text() == "not a directory\n"
 
 
+def _no_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--example", "1", *FAST_SOLVE),
+        # the boundary monitor aborts at t=0.88: linf_error is null
+        ("solve", "--example", "1", "--n", "256", "--L", "40", "--T", "2", "--dt", "0.01"),
+        ("verify-example", "--id", "2", "--n", "128"),
+        ("symbol-check", "--n", "64"),
+        ("conjugation-check", "--n", "64", "--h", "3,6,12"),
+        ("energy", "--example", "1", "--n", "128", "--L", "15", "--dt", "0.025", "--T", "0.1"),
+        ("energy", "--example", "1", "--conjugated", "--n", "128", "--L", "15", "--h", "12",
+         "--dt", "0.0125", "--T", "0.05", "--eig-stride", "2"),
+        ("sharpness", "--deltas", "0.3,0.6"),
+        # every weighted norm overflows: each is null beside overflow true
+        ("norm-sweep", "--rho2", "1000", "--Ls", "20,40", "--dx", "0.3125"),
+    ],
+    ids=["solve", "solve-aborted", "verify-example", "symbol-check", "conjugation-check", "energy",
+         "energy-conjugated", "sharpness", "norm-sweep-overflow"],
+)
+def test_report_is_strict_json_and_printed_as_written(tmp_path, capsys, argv):
+    rc, _, out = _run(tmp_path, *argv)
+    assert rc in (0, 1)
+    text = (out / "report.json").read_text()
+    report = json.loads(text, parse_constant=_no_constant)
+    assert capsys.readouterr().out == text
+    if argv[0] == "solve" and report["aborted"]:
+        assert report["linf_error"] is None and "boundary" in report["abort_reason"]
+        assert rc == 1
+    if argv[0] == "norm-sweep":
+        assert all(r["norm"] is None and r["overflow"] for r in report["rows"])
+
+
+def test_cached_parser_keeps_calls_independent(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"example": 1, "n": 128, "L": 15, "dt": 0.025, "T": 0.1, "tol": 0.01}))
+    # a config run, a usage error, then a run that must take none of the
+    # config's values (n, tol) from the shared parser
+    calls = [
+        ("solve", "--config", str(cfg)),
+        ("solve", "--n", "64", "--bogus"),
+        ("solve", "--example", "1", "--L", "15", "--dt", "0.025", "--T", "0.1"),
+    ]
+    seen = []
+    for i, argv in enumerate(calls):
+        rc = main(["--out", str(tmp_path / f"shared{i}"), *argv])
+        seen.append((rc, capsys.readouterr().out))
+    assert [rc for rc, _ in seen] == [0, 2, 0]
+    for i, argv in enumerate(calls):
+        cli._build_parser.cache_clear()
+        rc = main(["--out", str(tmp_path / f"fresh{i}"), *argv])
+        assert (rc, capsys.readouterr().out) == seen[i]
+        if rc != 2:
+            shared, fresh = (tmp_path / f"{d}{i}" / "report.json" for d in ("shared", "fresh"))
+            assert shared.read_bytes() == fresh.read_bytes()
+    last = json.loads(seen[2][1])
+    assert (last["n"], last["tol"]) == (1024, 1e-3)
+
+
 # ---------------------------------------------------------------------------
 # plot writer
 

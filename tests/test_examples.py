@@ -198,9 +198,9 @@ def test_coefficient_parts_match_direct_formulas(make, params):
 
 
 def test_hypothesis_check_on_fresh_arrays_matches_direct_formulas():
-    # hypothesis_check hands nearly every coefficient call a fresh array, so
-    # the calls build their parts: same calls and, to 1e-12, the same fits
-    # as the direct formulas
+    # hypothesis_check samples on node arrays new to the family, so the
+    # calls build their parts: same calls and, to 1e-12, the same fits as
+    # the direct formulas
     calls = {}
 
     def counted(name, fn):
@@ -219,14 +219,38 @@ def test_hypothesis_check_on_fresh_arrays_matches_direct_formulas():
         ep, problem=dataclasses.replace(ep.problem, a=(counted("a", ep.problem.a[0]),), b=counted("b", ep.problem.b))
     )
     got, want = hypothesis_check(new), hypothesis_check(ref)
-    # three times, three difference points each; a again for Re a, b for Re b and Im b
-    assert calls == {"a": 12, "b": 18, "ref a": 12, "ref b": 18}
+    # three times on each of three node arrays; a serves Im a and Re a, b serves Re b and Im b
+    assert calls == {"a": 9, "b": 9, "ref a": 9, "ref b": 9}
     assert got["pass"] and want["pass"]
     assert got["re_a_max"] == want["re_a_max"] == 0.0
     for name, fit in want["fits"].items():
         assert got["fits"][name]["C"] == pytest.approx(fit["C"], rel=1e-12)
         for k, v in fit["per_beta"].items():
             assert got["fits"][name]["per_beta"][k] == pytest.approx(v, rel=1e-12)
+
+
+@pytest.mark.parametrize("make", [lambda: example1(0.5, 1.8), lambda: example2(0.5), lambda: example3(0.5, 1.8)],
+                         ids=["example1", "example2", "example3"])
+def test_hypothesis_check_builds_parts_once_per_node_array(make):
+    # the family's one slot holds the array it last sampled on, so a call
+    # builds parts exactly when its array is not the previous call's
+    ep = make()
+    seen = []
+
+    def recorded(fn):
+        def wrapped(t, x):
+            seen.append(x)  # held, so the ids below stay distinct
+            return fn(t, x)
+
+        return wrapped
+
+    prob = dataclasses.replace(ep.problem, a=(recorded(ep.problem.a[0]),), b=recorded(ep.problem.b))
+    rep = hypothesis_check(dataclasses.replace(ep, problem=prob))
+    builds = sum(1 for i, x in enumerate(seen) if i == 0 or x is not seen[i - 1])
+    assert len(seen) == 18
+    assert len({id(x) for x in seen}) == 3
+    assert builds == 3
+    assert rep == hypothesis_check(make())
 
 
 def test_coefficient_slot_is_safe_across_threads():

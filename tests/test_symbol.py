@@ -116,6 +116,24 @@ def test_lambda2_matches_lambda1_in_1d():
     assert np.max(np.abs(blend + a)) <= 1e-15 * np.max(np.abs(a))
 
 
+def test_blend_matches_two_profile_formula_bitwise():
+    # _blend integrates lambda2 only off the plateau chi = 1; the formula
+    # with both profiles everywhere must give the same bits, signed zeros
+    # included, on the plateau, in the band and where chi = 0
+    p = LambdaParams(M=1.3, h=2.0, s=1.8, sigma=0.5)
+    rng = np.random.default_rng(11)
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 3.0, -3.0]
+    y = np.concatenate([rng.uniform(-30.0, 30.0, 500), special])
+    rho_sq = np.concatenate([rng.uniform(0.0, 900.0, 500) * (rng.uniform(size=500) < 0.8), np.zeros(8)])
+    bx = np.sqrt(1.0 + y * y + rho_sq)
+    ct = _dir_profile(y / bx)
+    assert np.any(ct == 1.0) and np.any((ct > 0.0) & (ct < 1.0)) and np.any(ct == 0.0)
+    lam1 = p.M * _profile_integral(y, rho_sq, p.s)
+    lam2 = p.M * _profile_integral(y, np.zeros_like(y), p.s)
+    want = -(lam1 * ct + lam2 * (1.0 - ct))
+    assert _blend(y, rho_sq, bx, p).tobytes() == want.tobytes()
+
+
 def test_quadrature_node_doubling():
     rng = np.random.default_rng(5)
     x = rng.uniform(-20.0, 20.0, size=(64, 2))
@@ -360,10 +378,10 @@ def test_gevrey_constant_insensitive_to_gate_threshold():
     xis = np.where(rng.uniform(size=200) < 0.5, 1.0, -1.0) * rng.uniform(8.5, 12.0, size=200)
 
     def fitted(params):
-        def fn(fixed, diff):
-            return lambda_sym(diff, fixed, params)
+        def fn(nodes):
+            return [lambda_sym(nodes[:, None], xis[:, None], params)]
 
-        rep = gevrey_bound_check(fn, xis, xs, theta=2.0, order=1.0 / params.s)
+        (rep,) = gevrey_bound_check(fn, xs, [1.0 / params.s], theta=2.0)
         return rep["C"]
 
     c1 = fitted(LambdaParams(M=1.0, h=1.0, s=1.8, sigma=0.5))
