@@ -49,9 +49,9 @@ import numpy as np
 
 from .grid import Grid, StateVector, _derivative_multiplier, apply_multiplier, sample
 from .gsnorm import GsIndices, gs_norm_ex
-from .pdo import DenseOp, WeightPair, assemble_dense, hermitian_min_eig
+from .pdo import DenseOp, WeightPair, _check_size, _circulant_view, hermitian_min_eig
 # unused; bench/tracing.py patches them here until its span list drops them (ROADMAP item 1)
-from .pdo import inverse, power_iteration_norm  # noqa: F401
+from .pdo import assemble_dense, inverse, power_iteration_norm  # noqa: F401
 from .symbol import ConjugationSchedule, LambdaParams, lambda_on_grid
 
 __all__ = [
@@ -143,6 +143,11 @@ def _edge_fraction(values: np.ndarray) -> float:
     return edge / amax
 
 
+# matrix rows per slab of _GeneratorPieces.dense's a-term products, so each
+# temporary is _DENSE_ROWS x n^d, not n^d x n^d
+_DENSE_ROWS = 128
+
+
 class _GeneratorPieces:
     """G(t) of the plain unknown u: frequency multipliers for apply, cached
     dense blocks for dense.  It shares with ConjugatedGenerator the five
@@ -156,7 +161,7 @@ class _GeneratorPieces:
         self.grid = grid
         self.lap_mult = -(grid.xi_norm**2)
         self.deriv_mults = [_derivative_multiplier(grid, ax) for ax in range(grid.dim)]
-        self._dense_lap = None
+        self._dense_ilap = None
         self._dense_derivs = None
         self._precond = None
 
@@ -218,21 +223,30 @@ class _GeneratorPieces:
         return u.values
 
     def _dense_blocks(self):
-        if self._dense_lap is None:
-            self._dense_lap = assemble_dense(self.grid, "multiplier", self.lap_mult.astype(np.complex128)).matrix
-            self._dense_derivs = [
-                assemble_dense(self.grid, "multiplier", m).matrix for m in self.deriv_mults
-            ]
-        return self._dense_lap, self._dense_derivs
+        """(i Lap, [d_ax]) as _circulant_view views of shape grid.shape * 2:
+        O(n^d) storage each, built on first use.  The grid is held to the
+        dense size cap here, before dense(t) allocates n^d x n^d."""
+        if self._dense_ilap is None:
+            _check_size(self.grid)
+            self._dense_ilap = _circulant_view(self.grid, 1j * np.fft.ifftn(self.lap_mult))
+            self._dense_derivs = [_circulant_view(self.grid, np.fft.ifftn(m)) for m in self.deriv_mults]
+        return self._dense_ilap, self._dense_derivs
 
     def dense(self, t: float) -> np.ndarray:
-        """G(t) as a dense matrix, formed entrywise from the cached blocks."""
-        lap, derivs = self._dense_blocks()
-        mat = 1j * lap
-        for ax in range(self.grid.dim):
+        """G(t) = i Lap - a . d - b as a dense matrix in one n^d x n^d
+        allocation: a copy of i Lap, each a-term subtracted in slabs of about
+        _DENSE_ROWS rows, then b off the diagonal."""
+        ilap, derivs = self._dense_blocks()
+        g = self.grid
+        mat = np.array(ilap, order="C")
+        step = max(1, _DENSE_ROWS * g.n // g.node_count)  # leading-axis indices per slab
+        for ax in range(g.dim):
             aco = self._sample(self.problem.a[ax], t)
             if aco is not None:
-                mat -= aco.ravel()[:, None] * derivs[ax]
+                aco = aco.reshape(g.shape + (1,) * g.dim)
+                for lo in range(0, g.n, step):
+                    mat[lo : lo + step] -= aco[lo : lo + step] * derivs[ax][lo : lo + step]
+        mat = mat.reshape(g.node_count, g.node_count)
         bco = self._sample(self.problem.b, t)
         if bco is not None:
             mat.flat[:: mat.shape[0] + 1] -= bco.ravel()
@@ -564,9 +578,13 @@ class ConjugatedGenerator:
 
     def dense(self, t: float) -> np.ndarray:
         """G_v(t) as a dense matrix, in O(n^2 m) through the pair's
-        factors; the loop builds it only for eigenvalue samples."""
+        factors; the loop builds it only for eigenvalue samples.  The
+        similarity's factor e^(k(t) (w_i - w_j)) is formed in one float
+        n^d x n^d buffer, exponentiated in place."""
         mat = self.pair.conjugate(self.pieces.dense(t))
-        mat *= np.exp(self.schedule.k(t) * (self.w[:, None] - self.w[None, :]))
+        fac = np.subtract.outer(self.w, self.w)
+        fac *= self.schedule.k(t)
+        mat *= np.exp(fac, out=fac)
         mat.flat[:: mat.shape[0] + 1] += self.schedule.kprime(t) * self.w
         return mat
 

@@ -255,8 +255,9 @@ def hypothesis_check(ep: ExactProblem, *, L: float = 20.0, t_samples=(0.0, 0.25,
     orders = (-sigma, 1.0 - sigma, 1.0 - sigma)
     got = gevrey_bound_check(samples, np.linspace(-L, L, 257), orders, theta=theta)
     fits = {name: {**fit, "order": order} for name, fit, order in zip(("a_im", "b_re", "b_im"), got, orders)}
-    re_a_max = max(re_a)
-    c_max = max(f["C"] for f in fits.values())
+    # np.max, not max: a NaN anywhere must reach the result and fail it
+    re_a_max = float(np.max(re_a))
+    c_max = float(np.max([f["C"] for f in fits.values()]))
     return {
         "fits": fits,
         "re_a_max": re_a_max,

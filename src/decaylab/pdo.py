@@ -10,11 +10,15 @@ V = dx^d W^H and the cell factor c = (dxi / 2 pi)^d:
 so that KN(a)^H = REV(conj(a)) holds as a finite-dimensional identity, not
 just asymptotically.  assemble_dense materializes these matrices, with
 sizes capped, as the explicit reference every operator statement is
-checked against.  The phase weight's pair is never assembled: its symbols
-differ from 1 only on the open frequency columns, so WeightPair takes the
-field as (open nodes, columns), as lambda_on_grid builds it, holds E0 and
-R0 as rank-m updates of the identity and takes the remainder norm,
-cond(E0) and E0^-1 exactly from those factors.
+checked against.  A frequency multiplier's matrix depends only on node
+differences, so _circulant_view holds it as a strided view of O(n^d)
+entries; the plain route's generator is built on those views.  The phase
+weight's pair is never assembled: its symbols differ from 1 only on the
+open frequency columns, so WeightPair takes the field as (open nodes,
+columns), as lambda_on_grid builds it, holds E0 and R0 as rank-m updates
+of the identity and takes the remainder norm, cond(E0) and E0^-1 exactly
+from those factors, in blocks: conjugate's temporaries are narrow and the
+remainder norm's K is never whole.
 """
 from __future__ import annotations
 
@@ -36,6 +40,17 @@ __all__ = [
 ]
 
 _MAX_NODES = 4096
+
+# rows or columns per block of WeightPair.conjugate's O(n^2 m) products, so
+# their temporaries are n^d x _BLOCK, not n^d x n^d (n = 512 splits in four)
+_BLOCK = 128
+
+# columns of K per term of WeightPair.remainder_norm's Gram sum (up to
+# n^d = 512 it is one term, the unblocked product bit for bit), and Gram
+# columns per strip of each term, so only the lower triangle eigvalsh reads
+# is formed and the conjugated operand is _GRAM_STRIP rows, not all of K's
+_GRAM_BLOCK = 512
+_GRAM_STRIP = 128
 
 
 def _check_size(grid: Grid) -> None:
@@ -77,6 +92,20 @@ def _phase_columns(grid: Grid, cols) -> np.ndarray:
     return w
 
 
+def _circulant_view(grid: Grid, col: np.ndarray) -> np.ndarray:
+    """The matrix M[j, l] = col[(j - l) mod n], per axis, of an ifftn column
+    col on grid.shape, as a read-only view of shape grid.shape + grid.shape
+    into 2^d n^d entries, never n^2d.  The doubled reversal
+    r[k] = col[-k mod n], 0 <= k < 2n per axis, holds M[j, l] at
+    r[n - j + l], so the view steps back along r for the row index and
+    forward for the column index: each row's innermost run is contiguous."""
+    n, d = grid.n, grid.dim
+    idx = -np.arange(2 * n) % n
+    r = col[np.ix_(*(idx,) * d)]
+    strides = tuple(-st for st in r.strides) + r.strides
+    return np.lib.stride_tricks.as_strided(r[(slice(n, None),) * d], grid.shape * 2, strides, writeable=False)
+
+
 def assemble_dense(grid: Grid, kind: str, sym: np.ndarray) -> DenseOp:
     """Materialize a quantized operator as a dense matrix.
 
@@ -85,22 +114,15 @@ def assemble_dense(grid: Grid, kind: str, sym: np.ndarray) -> DenseOp:
 
     A multiplier's sum c (W diag(m) V)[j, l] = n^-d sum_k m_k
     e^(2 pi i k.(j - l)/n) depends only on (j - l) mod n, so its matrix is
-    gathered from ifftn(m): circulant in 1-D, block-circulant with
-    circulant blocks in 2-D."""
+    ifftn(m) laid out by _circulant_view: circulant in 1-D, block-circulant
+    with circulant blocks in 2-D."""
     _check_size(grid)
     n = grid.node_count
     if kind == "multiplier":
         vals = np.asarray(sym)
         if vals.shape != grid.shape:
             raise ValueError(f"multiplier symbol must have shape {grid.shape}")
-        col = np.fft.ifftn(vals)
-        j = np.arange(grid.n)
-        lag = (j[:, None] - j[None, :]) % grid.n
-        # axis a's lag varies along row axis a and column axis a of the
-        # grid.shape + grid.shape result
-        d = grid.dim
-        lags = tuple(lag.reshape([grid.n if b % d == a else 1 for b in range(2 * d)]) for a in range(d))
-        mat = col[lags].reshape(n, n)
+        mat = np.ascontiguousarray(_circulant_view(grid, np.fft.ifftn(vals))).reshape(n, n)
         return DenseOp(grid, mat, "multiplier")
 
     s = np.asarray(sym)
@@ -196,7 +218,10 @@ class WeightPair:
         self.u = _phase_columns(grid, self._open)  # W_S until scaled below
         self.v_s = self.u.T.conj()
         self.v_s *= grid.dx**grid.dim
-        self.u *= (grid.dxi / (2.0 * np.pi)) ** grid.dim * np.expm1(self._lam)
+        e = np.expm1(self._lam)
+        e *= (grid.dxi / (2.0 * np.pi)) ** grid.dim
+        self.u *= e
+        del e
         f = _dft_columns(grid, self.u.copy())
         r_c = np.linalg.qr(np.delete(f, self._open, axis=0), mode="r")
         f[:m], f[m : m + len(r_c)] = f[self._open], r_c
@@ -208,20 +233,33 @@ class WeightPair:
         """||E0 R0 - I||_2, exact: in the frame E0 R0 - I = A' B with
         A' = [[core - I, I], [C, 0]] and B = [[e_S^T + H], [H]], so its norm
         is that of K = [[core], [R_C]] (e_S^T + H) - [[e_S^T], [0]], the
-        square root of the top eigenvalue of K K^H."""
+        square root of the top eigenvalue of K K^H.  K, (m + k) x n^d, is
+        formed _GRAM_BLOCK columns at a time and never whole."""
         m = self._open.size
         if m == 0:
             return 0.0
         g = self.grid
         # U_neg = c (e^-lam - 1)[:, S] * W_S, with W_S = V_S^H / dx^d
-        p = self.v_s.T.conj()
-        p *= (g.dxi / (2.0 * np.pi) / g.dx) ** g.dim * np.expm1(-self._lam)
+        p = np.conjugate(self.v_s.T, order="C")  # C order: _dft_columns transforms it in place
+        e = np.negative(self._lam)
+        np.expm1(e, out=e)
+        e *= (g.dxi / (2.0 * np.pi) / g.dx) ** g.dim
+        p *= e
+        del e
         p = np.conjugate(_dft_columns(g, p), out=p).T  # H = V' W = (V U_neg)^H
-        p[np.arange(m), self._open] += 1.0
-        k = self._fc @ p
+        rows = np.arange(m)
+        p[rows, self._open] += 1.0
+        mk = self._fc.shape[0]
+        gram = np.zeros((mk, mk), dtype=np.complex128)
+        for lo in range(0, p.shape[1], _GRAM_BLOCK):
+            k = self._fc @ p[:, lo : lo + _GRAM_BLOCK]
+            hit = (self._open >= lo) & (self._open < lo + _GRAM_BLOCK)
+            k[rows[hit], self._open[hit] - lo] -= 1.0
+            for c in range(0, mk, _GRAM_STRIP):
+                gram[c:, c : c + _GRAM_STRIP] += k[c:] @ k[c : c + _GRAM_STRIP].conj().T
+            del k  # before the next block's k is formed
         del p
-        k[np.arange(m), self._open] -= 1.0
-        return float(np.sqrt(max(np.linalg.eigvalsh(k @ k.conj().T)[-1], 0.0)))
+        return float(np.sqrt(max(np.linalg.eigvalsh(gram, UPLO="L")[-1], 0.0)))
 
     def cond(self) -> float:
         """2-norm condition number of E0, exact: that of
@@ -250,9 +288,17 @@ class WeightPair:
 
     def conjugate(self, mat: np.ndarray) -> np.ndarray:
         """E0 mat E0^-1 = X - (X U) Z with X = E0 mat, in O(n^2 m), formed
-        in mat's own storage: mat is overwritten and returned."""
-        mat += self.u @ (self.v_s @ mat)
-        mat -= (mat @ self.u) @ self._woodbury()
+        in mat's own storage: mat is overwritten and returned.  X is formed
+        _BLOCK columns at a time, then X - (X U) Z _BLOCK rows at a time,
+        so each temporary is n^d x _BLOCK; each entry is the one the whole
+        products give."""
+        for lo in range(0, mat.shape[1], _BLOCK):
+            blk = mat[:, lo : lo + _BLOCK]
+            blk += self.u @ (self.v_s @ blk)
+        z = self._woodbury()
+        for lo in range(0, mat.shape[0], _BLOCK):
+            blk = mat[lo : lo + _BLOCK]
+            blk -= (blk @ self.u) @ z
         return mat
 
 
@@ -283,9 +329,12 @@ def conjugation_remainder_check(hs, *, n: int, L: float, M: float, s: float, sig
 
 
 def hermitian_min_eig(op: DenseOp, *, max_nodes: int = 2048) -> float:
-    """Smallest eigenvalue of the Hermitian part (A + A^H)/2."""
+    """Smallest eigenvalue of the Hermitian part (A + A^H)/2, formed in one
+    conjugate copy of A; A itself is left as it is."""
     n = op.grid.node_count
     if n > max_nodes:
         raise ValueError(f"hermitian_min_eig caps nodes at {max_nodes}, got {n}")
-    herm = 0.5 * (op.matrix + op.matrix.conj().T)
+    herm = op.matrix.conj().T
+    herm += op.matrix
+    herm *= 0.5
     return float(np.linalg.eigvalsh(herm)[0])

@@ -267,13 +267,21 @@ def _geometry(x, xi):
 def _blend(y, rho_sq, bx, params: LambdaParams) -> np.ndarray:
     """-(lambda1 * chi + lambda2 * (1 - chi)) given the direction geometry;
     lambda2 = M F(y, 0) is the profile with the transverse offset dropped,
-    integrated only where chi < 1: on the plateau both profiles are sign(y)
-    times a nonnegative integral, so adding lambda2 * 0 changes no bit."""
-    mix = params.M * _profile_integral(y, rho_sq, params.s)
+    needed only where chi < 1: on the plateau both profiles are sign(y)
+    times a nonnegative integral, so adding lambda2 * 0 changes no bit.
+    Where rho_sq = 0, F(y, 0) is lambda1's own integral, bit for bit, since
+    each point's rule is its own, so only points off the line are integrated
+    again: a 1-D field takes one integral."""
+    prof = _profile_integral(y, rho_sq, params.s)
+    mix = params.M * prof
     ct = _dir_profile(y / bx)
     mix *= ct
     off = ct < 1.0
-    mix[off] += params.M * _profile_integral(y[off], 0.0, params.s) * (1.0 - ct[off])
+    lam2 = prof[off]
+    tilt = rho_sq[off] != 0.0
+    if np.any(tilt):
+        lam2[tilt] = _profile_integral(y[off][tilt], 0.0, params.s)
+    mix[off] += params.M * lam2 * (1.0 - ct[off])
     return -mix
 
 
@@ -487,5 +495,5 @@ def gevrey_bound_check(fn, x, orders, *, theta: float) -> list[dict]:
         for k, der in enumerate(ders):
             env = math.factorial(k) ** theta * bh ** (order - k)
             per[str(k)] = float(np.max(np.abs(der) / env) ** (1.0 / (k + 1.0)))
-        fits.append({"C": max(per.values()), "per_beta": per})
+        fits.append({"C": float(np.max(list(per.values()))), "per_beta": per})  # a NaN order propagates
     return fits

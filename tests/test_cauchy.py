@@ -89,6 +89,78 @@ def test_generator_first_order_term():
     assert np.max(np.abs(out - want)) <= 1e-10
 
 
+def _gathered_multiplier(g, mult):
+    # the multiplier matrix gathered entry by entry from ifftn(mult) at the
+    # lag (j - l) mod n of each axis
+    col = np.fft.ifftn(mult)
+    j = np.arange(g.n)
+    lag = (j[:, None] - j[None, :]) % g.n
+    d = g.dim
+    lags = tuple(lag.reshape([g.n if b % d == a else 1 for b in range(2 * d)]) for a in range(d))
+    return col[lags].reshape(g.node_count, g.node_count)
+
+
+def _plane_problem(a0, a1):
+    return Problem(
+        dim=2, sigma=0.5, s0=2.0,
+        a=(a0, a1), b=lambda t, x, y: 0.1 * x + 1j * t * y, f=None,
+        g=lambda x, y: np.exp(-x**2 - y**2), T=1.0,
+    )
+
+
+def _a0(t, x, y):
+    return (0.3 + 1j * np.sin(x + t)) * np.exp(-y**2 / 9.0)
+
+
+def _a1(t, x, y):
+    return 1j * np.cos(y - t) / (1.0 + x**2)
+
+
+@pytest.mark.parametrize(
+    "prob, dim, n",
+    [
+        pytest.param(example1(0.5, 1.8).problem, 1, 64, id="1d-example1"),
+        pytest.param(_free_problem(), 1, 32, id="1d-free"),
+        pytest.param(_plane_problem(_a0, _a1), 2, 16, id="2d-both"),
+        pytest.param(_plane_problem(None, _a1), 2, 16, id="2d-second"),
+        pytest.param(_plane_problem(None, None), 2, 8, id="2d-none"),
+    ],
+)
+def test_dense_generator_matches_gathered_blocks_bitwise(prob, dim, n):
+    # dense(t) is built on strided views of each doubled ifftn column; it
+    # must equal i Lap - a . d - b from the gathered n^d x n^d blocks to the
+    # bit, and each cached block must address O(n^d) memory, not n^2d
+    g = Grid(dim=dim, n=n, L=10.0)
+    pieces = _GeneratorPieces(prob, g)
+    lap = _gathered_multiplier(g, pieces.lap_mult.astype(np.complex128))
+    derivs = [_gathered_multiplier(g, m) for m in pieces.deriv_mults]
+    for t in (0.0, 0.3):
+        want = 1j * lap
+        for ax in range(dim):
+            if prob.a[ax] is not None:
+                want -= prob.a[ax](t, *g.x_mesh).ravel()[:, None] * derivs[ax]
+        if prob.b is not None:
+            want.flat[:: g.node_count + 1] -= np.asarray(prob.b(t, *g.x_mesh), dtype=np.complex128).ravel()
+        assert pieces.dense(t).tobytes() == want.tobytes()
+    ilap, dblocks = pieces._dense_blocks()
+    for blk in (ilap, *dblocks):
+        assert blk.shape == g.shape * 2
+        lo, hi = getattr(np.lib, "array_utils", np).byte_bounds(blk)  # np.byte_bounds before numpy 2
+        assert hi - lo <= 2**dim * g.node_count * blk.itemsize
+
+
+def test_dense_route_refuses_a_grid_over_the_cap(monkeypatch):
+    # 8192 nodes would take 1 GiB per dense matrix: the cap refuses them
+    # before the blocks, or G(t), are built and before any step is solved
+    def unreachable(*args):
+        raise AssertionError("dense blocks built past the cap")
+
+    monkeypatch.setattr(cauchy, "_circulant_view", unreachable)
+    monkeypatch.setattr(cauchy.np.linalg, "solve", unreachable)
+    with pytest.raises(ValueError, match="cap"):
+        solve(example1(0.5, 1.8).problem, Grid(dim=1, n=8192, L=10.0), 0.025, method="dense")
+
+
 def test_cn_step_unitary_for_skew_generator():
     # one dense step of the shared Crank-Nicolson rule
     g = Grid(dim=1, n=64, L=8.0)
@@ -597,8 +669,8 @@ def test_conjugated_min_eig_matches_out_of_place_formula():
     got = gen.min_eig(gen.dense(t))
     assert got == hermitian_min_eig(DenseOp(gen.grid, -gv, "composite"))
     # i Lap is skew-Hermitian: leaving it out moves the value by roundoff only
-    lap, _ = gen.pieces._dense_blocks()
-    with_lap = hermitian_min_eig(DenseOp(gen.grid, 1j * lap - gv, "composite"))
+    ilap, _ = gen.pieces._dense_blocks()
+    with_lap = hermitian_min_eig(DenseOp(gen.grid, ilap - gv, "composite"))
     assert abs(got - with_lap) <= 1e-13 * abs(with_lap)
 
 

@@ -253,6 +253,37 @@ def test_hypothesis_check_builds_parts_once_per_node_array(make):
     assert rep == hypothesis_check(make())
 
 
+def _nan_at_node(fn, *, t_nan, shifted):
+    # one NaN at node 100, at t_nan (every t for None), on the unshifted
+    # 257-node array or on the arrays hypothesis_check shifts by +-step
+    def wrapped(t, x):
+        out = np.array(fn(t, x), dtype=np.complex128)
+        if (t_nan is None or t == t_nan) and (x[0] != -20.0) == shifted:
+            out[100] = complex(np.nan, np.nan)
+        return out
+
+    return wrapped
+
+
+@pytest.mark.parametrize(
+    "slot, t_nan, shifted",
+    [pytest.param("b", None, False, id="b"), pytest.param("a", 0.25, True, id="a-second-t")],
+)
+def test_hypothesis_check_fails_on_one_nan_sample(slot, t_nan, shifted):
+    # a NaN that is not the first of the values a maximum is taken over must
+    # still reach the result: Python's max would drop it and pass the check
+    ep = example1(0.5, 1.8)
+    prob = ep.problem
+    if slot == "b":
+        prob = dataclasses.replace(prob, b=_nan_at_node(prob.b, t_nan=t_nan, shifted=shifted))
+    else:
+        prob = dataclasses.replace(prob, a=(_nan_at_node(prob.a[0], t_nan=t_nan, shifted=shifted),))
+    rep = hypothesis_check(dataclasses.replace(ep, problem=prob))
+    assert rep["pass"] is False
+    assert np.isnan(rep["C_max"])
+    assert np.isnan(rep["re_a_max"]) == (slot == "a")
+
+
 def test_coefficient_slot_is_safe_across_threads():
     # conjugation-check's worker threads (--threads > 1) sample one family's
     # coefficients at once; with the slot switching between two arrays under a short switch

@@ -1,8 +1,11 @@
 """Dense quantization algebra: frames, adjoints, conjugation."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from decaylab.cauchy import solve_conjugated
+from decaylab import pdo
+from decaylab.cauchy import ConjugatedGenerator, solve_conjugated
 from decaylab.examples import example1
 from decaylab.grid import Grid, StateVector, forward_dft, apply_multiplier
 from decaylab.pdo import (
@@ -259,6 +262,61 @@ def test_weight_pair_factors_match_dense(dim, n, L, h, rel):
     _check_pair_against_dense(g, field, rel)
 
 
+@pytest.mark.parametrize(
+    "n, L, h",
+    [pytest.param(256, 0.5, 5.0, id="criterion7"), pytest.param(512, 15.0, 48.0, id="criterion8-n512")],
+)
+def test_remainder_norm_blocked_gram_matches_one_block(monkeypatch, n, L, h):
+    # K K^H summed over four or more column blocks of K, a few Gram columns
+    # at a time, moves the norm by roundoff only
+    g = Grid(dim=1, n=n, L=L)
+    pair = WeightPair(g, _weight_field(1, n, L, h))
+    monkeypatch.setattr(pdo, "_GRAM_BLOCK", n)
+    one = pair.remainder_norm()
+    monkeypatch.setattr(pdo, "_GRAM_BLOCK", n // 4)
+    monkeypatch.setattr(pdo, "_GRAM_STRIP", 16)
+    assert abs(pair.remainder_norm() - one) <= 1e-15 * one
+
+
+def _traced_peak(fn):
+    """Peak bytes numpy and Python allocate during fn(), beyond what was
+    held before it."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_remainder_norm_never_holds_a_whole_k():
+    # H (m x n) and the Gram matrix (m+k square) are needed whole; the rest
+    # takes K a column block at a time, so it stays below one (m+k) x n K
+    # (about 0.41 of it here; the unblocked product held K and its conjugate)
+    g = Grid(dim=1, n=2048, L=15.0)
+    pair = WeightPair(g, _weight_field(1, 2048, 15.0, 192.0))
+    m, mk = pair._open.size, pair._fc.shape[0]
+    assert 2 * mk < g.n
+    item = np.dtype(np.complex128).itemsize
+    peak = _traced_peak(pair.remainder_norm)
+    assert peak - (m * g.n + mk * mk) * item < mk * g.n * item
+
+
+def test_conjugated_dense_and_min_eig_hold_two_square_arrays():
+    # with the pair's factors and the dense blocks built, G_v and min_eig
+    # allocate G_v and its Hermitian part, plus scratch of a few blocks
+    # (2.06 n x n arrays measured; 3.03 when each product made its own)
+    g = Grid(dim=1, n=512, L=0.5)
+    params = LambdaParams(M=1.0, h=5.0, s=1.8, sigma=0.5)
+    sched = ConjugationSchedule(M=1.0, Nconst=2.0, T=0.5, k0=2.0 * float(np.expm1(1.0)))
+    gen = ConjugatedGenerator(example1(0.5, 1.8).problem, WeightPair(g, lambda_on_grid(g, params)), params, sched, cond_cap=1e14)
+    gen.min_eig(gen.dense(0.5))
+    peak = _traced_peak(lambda: gen.min_eig(gen.dense(0.5)))
+    assert peak <= 2.25 * g.n * g.n * np.dtype(np.complex128).itemsize
+
+
 def test_weight_pair_with_every_column_open():
     # a weight nonzero on every frequency column: C is empty and E0 is all
     # core
@@ -396,3 +454,13 @@ def test_hermitian_min_eig():
     assert abs(hermitian_min_eig(skew)) <= 1e-12
     with pytest.raises(ValueError):
         hermitian_min_eig(DenseOp(g, np.eye(32), "composite"), max_nodes=16)
+
+
+def test_hermitian_min_eig_leaves_its_input_and_matches_formula():
+    g = Grid(dim=1, n=64, L=4.0)
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    keep = a.copy()
+    got = hermitian_min_eig(DenseOp(g, a, "composite"))
+    assert a.tobytes() == keep.tobytes()
+    assert got == float(np.linalg.eigvalsh(0.5 * (keep + keep.conj().T))[0])

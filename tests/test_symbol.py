@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from decaylab import symbol
 from decaylab.grid import Grid
 from decaylab.symbol import (
     _blend,
@@ -116,22 +117,45 @@ def test_lambda2_matches_lambda1_in_1d():
     assert np.max(np.abs(blend + a)) <= 1e-15 * np.max(np.abs(a))
 
 
-def test_blend_matches_two_profile_formula_bitwise():
-    # _blend integrates lambda2 only off the plateau chi = 1; the formula
-    # with both profiles everywhere must give the same bits, signed zeros
-    # included, on the plateau, in the band and where chi = 0
+def test_blend_matches_two_profile_formula_bitwise(monkeypatch):
+    # _blend integrates lambda2 only off the plateau chi = 1 and off the
+    # line rho_sq = 0, where it reuses lambda1; the formula with both
+    # profiles everywhere must give the same bits, signed zeros included, on
+    # the plateau, in the band and where chi = 0, at rho_sq = 0 and off it
     p = LambdaParams(M=1.3, h=2.0, s=1.8, sigma=0.5)
     rng = np.random.default_rng(11)
     special = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 3.0, -3.0]
-    y = np.concatenate([rng.uniform(-30.0, 30.0, 500), special])
-    rho_sq = np.concatenate([rng.uniform(0.0, 900.0, 500) * (rng.uniform(size=500) < 0.8), np.zeros(8)])
+    y = np.concatenate([rng.uniform(-30.0, 30.0, 500), special, special])
+    rho_sq = np.concatenate(
+        [rng.uniform(0.0, 900.0, 500) * (rng.uniform(size=500) < 0.8), np.zeros(8), np.full(8, -0.0)]
+    )
     bx = np.sqrt(1.0 + y * y + rho_sq)
     ct = _dir_profile(y / bx)
     assert np.any(ct == 1.0) and np.any((ct > 0.0) & (ct < 1.0)) and np.any(ct == 0.0)
+    line = rho_sq == 0.0
+    assert np.any(line & (ct < 1.0)) and np.any(~line & (ct < 1.0))
     lam1 = p.M * _profile_integral(y, rho_sq, p.s)
     lam2 = p.M * _profile_integral(y, np.zeros_like(y), p.s)
     want = -(lam1 * ct + lam2 * (1.0 - ct))
+    calls = []
+    profile = symbol._profile_integral
+
+    def counted(*args, **kwargs):
+        calls.append(np.size(args[0]))
+        return profile(*args, **kwargs)
+
+    monkeypatch.setattr(symbol, "_profile_integral", counted)
     assert _blend(y, rho_sq, bx, p).tobytes() == want.tobytes()
+    # lambda1 everywhere, then lambda2 only where chi < 1 off the line
+    assert calls == [y.size, np.count_nonzero(~line & (ct < 1.0))]
+    # a 1-D field has rho_sq = 0 throughout: one integral
+    calls.clear()
+    x = np.linspace(-30.0, 30.0, 257)
+    bx1 = np.sqrt(1.0 + x * x)
+    lam, ct1 = p.M * profile(x, 0.0, p.s), _dir_profile(x / bx1)
+    want1 = -(lam * ct1 + lam * (1.0 - ct1))
+    assert _blend(x, np.zeros_like(x), bx1, p).tobytes() == want1.tobytes()
+    assert calls == [x.size]
 
 
 def test_quadrature_node_doubling():
