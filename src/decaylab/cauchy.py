@@ -427,7 +427,10 @@ def _crank_nicolson(gen, v: StateVector, dt: float, nsteps: int, *, method: str,
         if fmid is not None:
             rhs = rhs + dt * fmid.ravel()
         if method == "dense":
-            amat = np.eye(grid.node_count, dtype=np.complex128) - h * gen.dense(t_next)
+            # I - h G(t+dt) in dense(t)'s own storage: one n^d x n^d array
+            amat = gen.dense(t_next)
+            amat *= -h
+            amat.flat[:: grid.node_count + 1] += 1.0
             vals = np.linalg.solve(amat, rhs)
             av = amat @ vals
             del amat  # free it before the next step forms its own n x n matrix

@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -311,18 +310,7 @@ def _cmd_conjugation_check(args, out: Path) -> dict:
         gen = ConjugatedGenerator(ep.problem, pair, params, sched, cond_cap=1e14)
         return gen.min_eig(gen.dense(args.t))
 
-    if args.threads <= 1:
-        # in this thread: a one-worker pool runs nothing in parallel, and its
-        # thread's malloc arena kept 6 MB of freed n x n blocks resident at
-        # n=512 once the coefficients' parts lived there
-        eigs = [min_eig_for(h) for h in hs]
-    else:
-        with ThreadPoolExecutor(max_workers=args.threads) as ex:
-            eigs = list(ex.map(min_eig_for, hs))
-
-    rows = []
-    for row, me in zip(sweep["rows"], eigs):
-        rows.append([row["h"], row["norm_r1"], me, row["n"]])
+    rows = [[r["h"], r["norm_r1"], min_eig_for(r["h"]), r["n"]] for r in sweep["rows"]]
     norms = [r["norm_r1"] for r in sweep["rows"]]
     monotone = all(b < a for a, b in zip(norms, norms[1:]))
     report = {
@@ -470,7 +458,7 @@ def _build_parser() -> _Parser:
     # returns a fresh Namespace each call
     p = _Parser(prog="decaylab", description=__doc__)
     p.add_argument("--out", default="out", help="output directory for reports, tables, plots")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for conjugation-check's per-h min-eig (1: none, the calling thread); no other command uses them")
+    p.add_argument("--threads", type=int, default=1, choices=(1,), help="1, the only value: every command runs in the calling thread")
     p.add_argument("--seed", type=int, default=0, help="seed of symbol-check's direction sample; no other command draws one")
     sub = p.add_subparsers(dest="command", required=True)
 

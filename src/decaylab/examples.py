@@ -121,8 +121,8 @@ def _family(sigma: float, s: float, eps: float, T: float, label: str, rho2_data:
     def parts(x: np.ndarray) -> dict:
         key, got = slot[0]
         if key is not x:
-            # a new dict, never a cleared one: a thread still holding the old
-            # one keeps the parts of its own array
+            # a new dict, never a cleared one: a library caller's thread still
+            # holding the old one keeps the parts of its own array
             got = {}
             slot[0] = (x, got)
         return got

@@ -230,14 +230,12 @@ def test_conjugation_check_ignores_seed(tmp_path):
     [("conjugation-check", "--n", "64", "--h", "3,6,12"), ("sharpness",), ("norm-sweep",)],
     ids=["conjugation-check", "sharpness", "norm-sweep"],
 )
-def test_threads_do_not_change_output(tmp_path, argv):
-    # the sweep workers must not change a byte of any artifact
-    files = {}
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        assert main(["--out", str(out), "--threads", threads, *argv]) == 0
-        files[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert files["1"] == files["2"]
+def test_threads_above_one_are_refused(tmp_path, argv):
+    # every command runs in the calling thread: --threads takes 1 alone,
+    # and any other value is invalid input that writes no artifact
+    assert main(["--out", str(tmp_path / "1"), "--threads", "1", *argv]) == 0
+    assert main(["--out", str(tmp_path / "2"), "--threads", "2", *argv]) == 2
+    assert not (tmp_path / "2").exists()
 
 
 def test_energy_plain(tmp_path):

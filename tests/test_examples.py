@@ -285,8 +285,8 @@ def test_hypothesis_check_fails_on_one_nan_sample(slot, t_nan, shifted):
 
 
 def test_coefficient_slot_is_safe_across_threads():
-    # conjugation-check's worker threads (--threads > 1) sample one family's
-    # coefficients at once; with the slot switching between two arrays under a short switch
+    # no command samples a family from two threads, but a library caller
+    # may; with the slot switching between two arrays under a short switch
     # interval, every call must still return its own array's values
     ep = example1(0.5, 1.8)
     ref_a, ref_b = _direct_coefficients(0.5, 1.8, -1.0)

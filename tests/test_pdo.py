@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from decaylab import pdo
-from decaylab.cauchy import ConjugatedGenerator, solve_conjugated
+from decaylab.cauchy import ConjugatedGenerator, solve, solve_conjugated
 from decaylab.examples import example1
 from decaylab.grid import Grid, StateVector, forward_dft, apply_multiplier
 from decaylab.pdo import (
@@ -315,6 +315,16 @@ def test_conjugated_dense_and_min_eig_hold_two_square_arrays():
     gen.min_eig(gen.dense(0.5))
     peak = _traced_peak(lambda: gen.min_eig(gen.dense(0.5)))
     assert peak <= 2.25 * g.n * g.n * np.dtype(np.complex128).itemsize
+
+
+def test_dense_step_holds_two_square_arrays():
+    # a dense Crank-Nicolson step forms I - h G(t+dt) in G's own storage,
+    # and np.linalg.solve factors a copy of it: two n x n arrays, where
+    # I - h G formed out of place held three
+    g = Grid(dim=1, n=512, L=20.0)
+    problem = example1(0.5, 1.8, T=0.1).problem
+    peak = _traced_peak(lambda: solve(problem, g, 0.025, method="dense"))
+    assert peak <= 2.0 * g.n * g.n * np.dtype(np.complex128).itemsize
 
 
 def test_weight_pair_with_every_column_open():

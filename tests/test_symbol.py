@@ -1,6 +1,7 @@
 """Phase-weight construction: cutoffs, profile integrals, transport sign."""
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -77,11 +78,11 @@ def test_tilde_chi_plateau_and_support():
     assert _dir_profile(1.0) == 0.0
 
 
-def _lambda1(x, xi, params, nnode=24):
+def _lambda1(x, xi, params):
     """lambda1 as _blend builds it: M F(x . omega, |x|^2 - (x . omega)^2)
     on coordinate rows (..., d)."""
     y, rho_sq, _ = _geometry(np.asarray(x, dtype=np.float64), np.asarray(xi, dtype=np.float64))
-    return params.M * _profile_integral(y, rho_sq, params.s, nnode)
+    return params.M * _profile_integral(y, rho_sq, params.s)
 
 
 def test_lambda1_1d_frozen_value():
@@ -158,45 +159,59 @@ def test_blend_matches_two_profile_formula_bitwise(monkeypatch):
     assert calls == [x.size]
 
 
-def test_quadrature_node_doubling():
-    rng = np.random.default_rng(5)
-    x = rng.uniform(-20.0, 20.0, size=(64, 2))
-    xi = rng.normal(size=(64, 2)) * 5.0
-    a = _lambda1(x, xi, P1, nnode=24)
-    b = _lambda1(x, xi, P1, nnode=48)
-    denom = np.maximum(np.abs(a), 1.0)
-    assert np.max(np.abs(a - b) / denom) <= 1e-10
+def _profile_reference(y, rho_sq, s):
+    # F(y, rho_sq) at 30 digits in closed form: |y| c^p 2F1(-p, 1/2; 3/2; -y^2/c)
+    # with c = 1 + rho_sq and p = (1/s - 1)/2
+    c = 1 + mp.mpf(rho_sq)
+    p = (1 / mp.mpf(s) - 1) / 2
+    a = abs(mp.mpf(y))
+    return mp.sign(y) * a * c**p * mp.hyp2f1(-p, 0.5, 1.5, -a * a / c)
+
+
+def test_profile_integral_against_mpmath():
+    # the plain integral within 1e-14 relative, and the gap F(y, rho_sq) -
+    # F(y, 0), as _blend_slope forms it, within 1e-14 of |F(y, 0)|, the
+    # scale at which its two terms cancel; over |y| <= 60 and rho_sq <=
+    # 2 L^2 at L = 40, with y = +-0, subnormal y and rho_sq = -0.0.  Below
+    # the smallest normal float the errors are measured against it, since
+    # no float64 value is closer than that in relative terms
+    ys = np.concatenate([np.linspace(-60.0, 60.0, 41), [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e-8, 1.5]])
+    rhos = np.array([0.0, -0.0, 0.5, 3.0, 50.0, 800.0, 3200.0])
+    Y, R = (a.ravel() for a in np.meshgrid(ys, rhos, indexing="ij"))
+    tiny = np.finfo(np.float64).tiny
+    with mp.workdps(30):
+        for s in (1.1, 1.8, 2.0, 3.0):
+            f0 = {y: _profile_reference(y, 0, s) for y in ys}
+            want = [_profile_reference(y, r, s) for y, r in zip(Y, R)]
+            got = _profile_integral(Y, R, s)
+            gap = got - _profile_integral(Y, 0.0, s)
+            err = np.array([float(abs(g - w)) for g, w in zip(got, want)])
+            assert np.all(err <= 1e-14 * np.maximum(np.abs(np.array(want, dtype=np.float64)), tiny))
+            gap_err = np.array([float(abs(g - (w - f0[y]))) for g, w, y in zip(gap, want, Y)])
+            assert np.all(gap_err <= 1e-14 * np.maximum([float(abs(f0[y])) for y in Y], tiny))
+    assert np.all(_profile_integral(np.array([0.0, -0.0]), np.array([0.0, 3200.0]), 1.1) == 0.0)
 
 
 def test_profile_integral_is_per_point():
-    # each point takes ceil(|y|/5) panels of its own, so |y| = 1 next to
-    # |y| = 14 gets the one panel it gets alone, bit for bit
-    alone = _profile_integral(np.array([1.0]), np.array([0.5]), 1.8, 16)
-    pair = _profile_integral(np.array([1.0, -14.0]), np.array([0.5, 3.0]), 1.8, 16)
+    # each point takes ceil(asinh(|y|/sqrt(1 + rho_sq)) / 1.5) u-panels of
+    # its own, so y = 1 at rho_sq = 0.5 (u up to 0.74: one panel) next to
+    # y = -14 at rho_sq = 3 (u up to 2.64: two) gets the one panel it gets
+    # alone, bit for bit
+    alone = _profile_integral(np.array([1.0]), np.array([0.5]), 1.8)
+    pair = _profile_integral(np.array([1.0, -14.0]), np.array([0.5, 3.0]), 1.8)
     assert pair[0] == alone[0]
-    # in any batch, whatever its order and size
+    # in any batch, whatever its order and size (one to four panels here)
     rng = np.random.default_rng(11)
-    y = rng.uniform(-14.0, 14.0, 3000)
+    y = rng.uniform(-60.0, 60.0, 3000)
     rho_sq = rng.uniform(0.0, 200.0, 3000)
-    full = _profile_integral(y, rho_sq, 1.8, 16)
+    full = _profile_integral(y, rho_sq, 1.8)
     sub = rng.permutation(3000)[:700]
-    assert np.array_equal(_profile_integral(y[sub], rho_sq[sub], 1.8, 16), full[sub])
-    assert all(_profile_integral(y[i : i + 1], rho_sq[i], 1.8, 16)[0] == full[i] for i in sub[:50])
+    assert np.array_equal(_profile_integral(y[sub], rho_sq[sub], 1.8), full[sub])
+    assert all(_profile_integral(y[i : i + 1], rho_sq[i], 1.8)[0] == full[i] for i in sub[:50])
     # any input shape; the result has y's
-    assert _profile_integral(y.reshape(30, 100), rho_sq.reshape(30, 100), 1.8, 16).shape == (30, 100)
-    assert np.array_equal(_profile_integral(y.reshape(30, 100), rho_sq.reshape(30, 100), 1.8, 16).ravel(), full)
+    assert _profile_integral(y.reshape(30, 100), rho_sq.reshape(30, 100), 1.8).shape == (30, 100)
+    assert np.array_equal(_profile_integral(y.reshape(30, 100), rho_sq.reshape(30, 100), 1.8).ravel(), full)
     assert _profile_integral(np.zeros((0, 2)), 1.0, 1.8).shape == (0, 2)
-
-
-def test_profile_gap_is_the_difference_of_two_profiles():
-    rng = np.random.default_rng(12)
-    y = rng.uniform(-14.0, 14.0, 500)
-    rho_sq = rng.uniform(0.0, 200.0, 500)
-    lam1 = _profile_integral(y, rho_sq, 1.8, 16)
-    lam2 = _profile_integral(y, np.zeros_like(y), 1.8, 16)
-    gap = _profile_integral(y, rho_sq, 1.8, 16, gap=True)
-    # relative to the larger profile, the roundoff scale of the difference
-    assert np.max(np.abs(gap - (lam1 - lam2)) / np.abs(lam2)) <= 1e-15
 
 
 def _unique_rows_directions(k):
@@ -380,7 +395,7 @@ def test_blend_slope_matches_central_difference():
     assert np.any(u <= 0.5) and np.any((u > 0.6) & (u < 0.9)) and np.any(u > 0.99)
     e = 1e-4
     fd = (_blend(*geometry(x + e * w), p) - _blend(*geometry(x - e * w), p)) / (2.0 * e)
-    exact = _blend_slope(y, rho_sq, bx, p, 24)
+    exact = _blend_slope(y, rho_sq, bx, p)
     assert np.max(np.abs(exact - fd)) <= 1e-7
     # on the plateau the slope is exactly the rate -M <x>^(1/s-1)
     plateau = u <= 0.5
@@ -394,6 +409,42 @@ def test_blend_slope_matches_central_difference():
     assert np.max(np.abs(_dir_slope(uu) - fd_glue)) <= 1e-7
     off = (np.abs(uu) <= 0.5) | (np.abs(uu) >= 1.0)
     assert np.all(_dir_slope(uu)[off] == 0.0)
+
+
+def test_blend_slope_skips_the_gap_on_the_line_bitwise(monkeypatch):
+    # where rho_sq = 0 the gap F(y, rho_sq) - F(y, 0) is exactly 0, so the
+    # slope integrates it only off that line; the formula with the gap on
+    # the whole band must give the same bits, and a 1-D slope takes no
+    # integral
+    p = LambdaParams(M=1.3, h=2.0, s=1.8, sigma=0.5)
+    rng = np.random.default_rng(17)
+    y = rng.uniform(-30.0, 30.0, 600)
+    rho_sq = rng.uniform(0.0, 900.0, 600) * (rng.uniform(size=600) < 0.7)
+    rho_sq[:20] = -0.0
+    bx = np.sqrt(1.0 + y * y + rho_sq)
+    u = y / bx
+    dct = _dir_slope(u) * (1.0 + rho_sq) / bx**3
+    band = dct != 0.0
+    assert np.any(band & (rho_sq == 0.0)) and np.any(band & (rho_sq != 0.0))
+    pw = 0.5 * (1.0 / p.s - 1.0)
+    ct = _dir_profile(u)
+    want = p.M * (1.0 + rho_sq + y * y) ** pw * ct + p.M * (1.0 + y * y) ** pw * (1.0 - ct)
+    gap = _profile_integral(y[band], rho_sq[band], p.s) - _profile_integral(y[band], 0.0, p.s)
+    want[band] += p.M * gap * dct[band]
+    calls = []
+    profile = symbol._profile_integral
+
+    def counted(*args, **kwargs):
+        calls.append(np.size(args[0]))
+        return profile(*args, **kwargs)
+
+    monkeypatch.setattr(symbol, "_profile_integral", counted)
+    assert _blend_slope(y, rho_sq, bx, p).tobytes() == (-want).tobytes()
+    assert calls == [np.count_nonzero(band & (rho_sq != 0.0))] * 2
+    calls.clear()
+    x = np.linspace(-30.0, 30.0, 257)
+    _blend_slope(x, np.zeros_like(x), np.sqrt(1.0 + x * x), p)
+    assert calls == []
 
 
 def test_gevrey_constant_insensitive_to_gate_threshold():
