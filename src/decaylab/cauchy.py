@@ -556,10 +556,20 @@ class ConjugatedGenerator:
             raise ValueError(f"condition number {self.cond_e0:.3e} exceeds cap {cond_cap:.1e}")
         self.schedule = schedule
         self.w = (np.sqrt(params.h**2 + pair.grid.x_norm**2) ** (1.0 - params.sigma)).ravel()
+        self._level: tuple[float, np.ndarray, np.ndarray] | None = None
+
+    def _schedule_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """(e^(k(t) w), k'(t) w), read-only, evaluated once per time level:
+        a step applies G_v(t) several times at one t."""
+        if self._level is None or self._level[0] != t:
+            weight, drift = np.exp(self.schedule.k(t) * self.w), self.schedule.kprime(t) * self.w
+            weight.flags.writeable = drift.flags.writeable = False
+            self._level = (t, weight, drift)
+        return self._level[1:]
 
     def weight(self, t: float) -> np.ndarray:
-        """e^(k(t) w) per node: the diagonal factor of E(t)."""
-        return np.exp(self.schedule.k(t) * self.w)
+        """e^(k(t) w) per node, read-only: the diagonal factor of E(t)."""
+        return self._schedule_at(t)[0]
 
     def physical(self, t: float, v: StateVector) -> np.ndarray:
         """u = E(t)^-1 v = E0^-1 (v / e^(k(t) w)) on grid.shape."""
@@ -569,7 +579,8 @@ class ConjugatedGenerator:
         """G_v(t) v without forming G_v, through the similarity
         W E0 G(t) E0^-1 W^-1 v + k'(t) w v with W = diag(e^(k(t) w))."""
         gu = self.pieces.apply(t, StateVector(self.grid, self.physical(t, v))).ravel()
-        out = self.weight(t) * self.pair.apply(gu) + self.schedule.kprime(t) * self.w * v.values.ravel()
+        weight, drift = self._schedule_at(t)
+        out = weight * self.pair.apply(gu) + drift * v.values.ravel()
         return out.reshape(self.grid.shape)
 
     def preconditioned_apply(self, t: float, h: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

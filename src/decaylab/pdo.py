@@ -223,9 +223,11 @@ class WeightPair:
         self.u *= e
         del e
         f = _dft_columns(grid, self.u.copy())
-        r_c = np.linalg.qr(np.delete(f, self._open, axis=0), mode="r")
-        f[:m], f[m : m + len(r_c)] = f[self._open], r_c
-        self._fc = f[: m + len(r_c)]  # [[core], [R_C]] in f's storage
+        core, closed = f[self._open], np.delete(f, self._open, axis=0)
+        del f  # before the QR copies the closed rows
+        r_c = np.linalg.qr(closed, mode="r")
+        del closed
+        self._fc = np.concatenate((core, r_c))  # [[core], [R_C]], (m + k) x m of its own
         self._fc[np.arange(m), np.arange(m)] += 1.0  # core = I + V_S U
         self._z = None
 

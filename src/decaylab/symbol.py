@@ -9,10 +9,11 @@ frequency direction omega = xi/|xi|:
 
 with y = x . omega and r2 = |x|^2 - y^2, blended by direction and frequency
 cutoffs so that lam vanishes identically for |xi| <= h and is odd in xi.
-The field and the transport check share one rule for F: Gauss-Legendre in
-u = asinh(z / sqrt(1 + r2)), 12 nodes per panel no wider than 1.5, within
-6.7e-16 relative of 30-digit mpmath for s in {1.1, 1.8, 2, 3}, |y| <= 60
-and r2 <= 3200.
+The field and the transport check share one rule for F: in
+u = asinh(z / sqrt(1 + r2)), tables per s and u-panel of width 0.75 (the
+integral up to the panel and a 16-term Chebyshev sum across it, both built
+by 12-node Gauss-Legendre), within 1.1e-15 relative of 30-digit mpmath for
+s in {1.05, 1.1, 1.8, 2, 3, 5}, |y| <= 1e6 and r2 <= 3200.
 The key payoff is the transport identity: wherever the direction cutoff sits
 on its plateau, sum_j (d lam / d x_j) xi_j = -M <x>^(1/s - 1) |xi| exactly,
 and elsewhere the same quantity is still bounded above by that value.
@@ -165,18 +166,22 @@ def _dir_profile(u) -> np.ndarray:
     return smooth_cutoff(u, 0.5, 1.0)
 
 
-def _dir_slope(u) -> np.ndarray:
-    # d/du of _dir_profile: with t = 2(1 - |u|), the derivative of
-    # up/(up + down), up = exp(-1/t), down = exp(-1/(1-t)), on 0 < t < 1
+def _dir_glue(u) -> tuple[np.ndarray, np.ndarray]:
+    # chi = _dir_profile(u) bit for bit, and chi' = d chi/du, from one pair
+    # of exponentials: with t = 2(1 - |u|), chi = up/(up + down),
+    # up = exp(-1/t), down = exp(-1/(1-t)), on the band 0 < t < 1
     u = np.asarray(u, dtype=np.float64)
     t = 2.0 * (1.0 - np.abs(u))
-    out = np.zeros_like(u)
+    chi = (t >= 1.0).astype(np.float64)
+    slope = np.zeros_like(t)
     band = (t > 0.0) & (t < 1.0)
     tb = t[band]
     up = np.exp(-1.0 / tb)
     down = np.exp(-1.0 / (1.0 - tb))
-    out[band] = -2.0 * np.sign(u[band]) * up * down * (1.0 / tb**2 + 1.0 / (1.0 - tb) ** 2) / (up + down) ** 2
-    return out
+    den = up + down
+    chi[band] = up / den
+    slope[band] = -2.0 * np.sign(u[band]) * up * down * (1.0 / tb**2 + 1.0 / (1.0 - tb) ** 2) / den**2
+    return chi, slope
 
 
 def _freq_gate(xi_norm, h: float) -> np.ndarray:
@@ -188,27 +193,69 @@ def _freq_gate(xi_norm, h: float) -> np.ndarray:
 # accumulated-decay profile
 
 
-# widest u-panel and nodes per panel of _profile_integral: the integrand's
-# singularities sit at Im u = +-pi/2 whatever y and rho_sq are
-_PROFILE_WIDTH = 1.5
+# width, Chebyshev terms and Gauss-Legendre nodes of _profile_integral's
+# u-panels: the integrand's singularities sit at Im u = +-pi/2 whatever y
+# and rho_sq are
+_PROFILE_WIDTH = 0.75
+_PROFILE_NCOEF = 16
 _PROFILE_NNODE = 12
 
 
-@lru_cache(maxsize=64)
 def _panel_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
     # count equal panels of _PROFILE_NNODE Gauss-Legendre nodes on [0, 1],
-    # panel by panel, as read-only columns: the node positions and weights
+    # panel by panel, as columns: the node positions and weights
     t, w = leggauss(_PROFILE_NNODE)
     frac = ((np.arange(count)[:, None] + 0.5 * (t + 1.0)) / count).reshape(-1, 1)
-    wts = np.tile(w, count)[:, None]
-    frac.flags.writeable = wts.flags.writeable = False
-    return frac, wts
+    return frac, np.tile(w, count)[:, None]
 
 
-# float64 entries of _profile_integral's scratch (512 KiB): a block of
-# points times their quadrature nodes, so the scratch does not grow with
-# the batch
-_PROFILE_BLOCK = 1 << 16
+@lru_cache(maxsize=4096)
+def _panel_table(s: float, k: int) -> tuple[float, np.ndarray]:
+    """(C_k, q) for the u-panel [k W, (k + 1) W], W = _PROFILE_WIDTH:
+    C_k = int_0^(k W) cosh(u)^(1/s) du over k panels of the rule, and q,
+    read-only, the Chebyshev coefficients on x = 2 v / W - 1 of
+    Q_k(v) = (1/v) int_(k W)^(k W + v) cosh(u)^(1/s) du, v in [0, W],
+    interpolated at 2 _PROFILE_NCOEF first-kind points and truncated.
+    Q_k(v) is the mean of the integrand over [k W, k W + v], one panel of
+    the rule for each v, so it keeps its relative accuracy as v -> 0."""
+    width, cum = _PROFILE_WIDTH, 0.0
+    if k:
+        frac, wts = _panel_rule(k)
+        cum = 0.5 * width * float(np.sum(wts * np.cosh(frac * (k * width)) ** (1.0 / s)))
+    npts = 2 * _PROFILE_NCOEF
+    frac, wts = _panel_rule(1)
+    v = 0.5 * width * (np.cos(np.pi * (np.arange(npts) + 0.5) / npts) + 1.0)
+    vals = 0.5 * np.sum(wts * np.cosh(k * width + frac * v) ** (1.0 / s), axis=0)
+    # cos(j theta_i) with its argument reduced exactly: j (2 i + 1) mod 4 npts
+    arg = np.arange(_PROFILE_NCOEF)[:, None] * (2 * np.arange(npts) + 1) % (4 * npts)
+    q = (2.0 / npts) * (np.cos(np.pi / (2 * npts) * arg) @ vals)
+    q[0] *= 0.5
+    q.flags.writeable = False
+    return cum, q
+
+
+def _clenshaw(q: np.ndarray, x2: np.ndarray, b1: np.ndarray, b2: np.ndarray, t: np.ndarray) -> np.ndarray:
+    # sum_j q[j] T_j(x) at x = x2 / 2 by Clenshaw's recurrence, in the
+    # scratch b1, b2 and t (x2's shape, overwritten): elementwise with scalar
+    # coefficients, so each value depends only on its own point
+    np.multiply(x2, q[-1], out=b1)
+    b1 += q[-2]
+    b2.fill(q[-1])
+    for qj in q[-3:0:-1]:
+        np.multiply(x2, b1, out=t)
+        t -= b2
+        t += qj
+        b1, b2, t = t, b1, b2
+    np.multiply(x2, b1, out=t)
+    t *= 0.5
+    t -= b2
+    t += q[0]
+    return t
+
+
+# points per block of _profile_integral's Clenshaw sums: five scratch
+# arrays of 128 KiB, so the scratch does not grow with the batch
+_PROFILE_BLOCK = 1 << 14
 
 
 def _profile_integral(y, rho_sq, s: float) -> np.ndarray:
@@ -216,45 +263,34 @@ def _profile_integral(y, rho_sq, s: float) -> np.ndarray:
 
     y and rho_sq broadcast to y's shape, which the result has.  With
     c = 1 + rho_sq and z = sqrt(c) sinh u, F = sign(y) c^(1/(2s)) times
-    int_0^U cosh(u)^(1/s) du, U = asinh(|y|/sqrt(c)); each point gets its
-    own Gauss-Legendre rule in u, ceil(U / _PROFILE_WIDTH) equal panels (at
-    least one) of _PROFILE_NNODE nodes, within 6.7e-16 relative of 30-digit
-    mpmath for s in {1.1, 1.8, 2, 3}, |y| <= 60 and rho_sq <= 3200.
-    Points are grouped by panel count and integrated in blocks that fill
-    preallocated scratch, and each point's weighted node values are summed
-    in a fixed pairwise order, so a value depends only on its own point: it
-    is bitwise the same in any batch.
+    int_0^U cosh(u)^(1/s) du, U = asinh(|y|/sqrt(c)).  U falls in the
+    u-panel k = floor(U / W), and the integral is C_k + v Q_k(v), v = U - k W,
+    from _panel_table's cumulative integral and Chebyshev sum: within
+    1.1e-15 relative of 30-digit mpmath for s in {1.05, 1.1, 1.8, 2, 3, 5},
+    |y| <= 1e6 and rho_sq <= 3200.  Points are grouped by panel and summed in
+    blocks with scalar coefficients, so a value depends only on its own
+    point: it is bitwise the same in any batch.
     """
     y = np.asarray(y, dtype=np.float64)
     c = 1.0 + np.broadcast_to(np.asarray(rho_sq, dtype=np.float64), y.shape).ravel()
     upper = np.arcsinh(np.abs(y).ravel() / np.sqrt(c))
-    npan = np.maximum(np.ceil(upper / _PROFILE_WIDTH), 1.0).astype(np.intp)
+    panel = (upper / _PROFILE_WIDTH).astype(np.intp)
     out = np.empty_like(upper)
-    nodes = _PROFILE_NNODE * int(npan.max(initial=1))
-    size = max(nodes, min(_PROFILE_BLOCK, nodes * upper.size))
-    buf = np.empty(size)
-    for count in np.flatnonzero(np.bincount(npan)):
-        group = np.flatnonzero(npan == count)
-        frac, wts = _panel_rule(int(count))
-        per = size // frac.size
-        for lo in range(0, group.size, per):
-            sel = group[lo : lo + per]
-            ub = upper[sel]
-            f = buf[: frac.size * sel.size].reshape(frac.size, sel.size)
-            np.multiply(frac, ub, out=f)  # u
-            # cosh(u)^(1/s) as exp(log(cosh u) / s): numpy vectorizes exp and log, not pow
-            np.cosh(f, out=f)
-            np.log(f, out=f)
-            f *= 1.0 / s
-            np.exp(f, out=f)
-            f *= wts
-            # pairwise fold over the nodes: the order depends on the node count only
-            m = f.shape[0]
-            while m > 1:
-                half = m // 2
-                f[:half] += f[m - half : m]
-                m -= half
-            out[sel] = f[0] * ub / (2.0 * count)
+    size = min(_PROFILE_BLOCK, upper.size)
+    v, x2, b1, b2, t = np.empty((5, size))
+    for k in np.flatnonzero(np.bincount(panel)):
+        group = np.flatnonzero(panel == k)
+        cum, q = _panel_table(s, int(k))
+        for lo in range(0, group.size, size):
+            sel = group[lo : lo + size]
+            m = sel.size
+            vs = np.take(upper, sel, out=v[:m])
+            vs -= k * _PROFILE_WIDTH
+            np.multiply(vs, 4.0 / _PROFILE_WIDTH, out=x2[:m])
+            x2[:m] -= 2.0
+            vs *= _clenshaw(q, x2[:m], b1[:m], b2[:m], t[:m])
+            vs += cum
+            out[sel] = vs
     out *= c ** (0.5 / s)
     return (np.sign(y).ravel() * out).reshape(y.shape)
 
@@ -276,8 +312,8 @@ def _blend(y, rho_sq, bx, params: LambdaParams) -> np.ndarray:
     needed only where chi < 1: on the plateau both profiles are sign(y)
     times a nonnegative integral, so adding lambda2 * 0 changes no bit.
     Where rho_sq = 0, F(y, 0) is lambda1's own integral, bit for bit, since
-    each point's rule is its own, so only points off the line are integrated
-    again: a 1-D field takes one integral."""
+    each point's value depends on that point alone, so only points off the
+    line are integrated again: a 1-D field takes one integral."""
     prof = _profile_integral(y, rho_sq, params.s)
     mix = params.M * prof
     ct = _dir_profile(y / bx)
@@ -300,22 +336,27 @@ def _blend_slope(y, rho_sq, bx, params: LambdaParams) -> np.ndarray:
     with p = (1/s - 1)/2.  The gap lambda1 - lambda2 is M times
     F(y, rho_sq) - F(y, 0), the two profiles _blend forms, taken where chi'
     and rho_sq are nonzero (at rho_sq = 0 both are the same bits); it is
-    within 1.1e-15 of |F(y, 0)|, the scale at which its terms cancel, of
-    30-digit mpmath over _profile_integral's ranges.
+    within 2.0e-15 of |F(y, 0)|, the scale at which its terms cancel, of
+    30-digit mpmath over _profile_integral's ranges.  chi and chi' come
+    from one pair of exponentials (_dir_glue).
     """
     p = 0.5 * (1.0 / params.s - 1.0)
-    u = y / bx
-    ct = _dir_profile(u)
-    dct = _dir_slope(u) * (1.0 + rho_sq) / bx**3
-    dlam1 = params.M * (1.0 + rho_sq + y * y) ** p
-    dlam2 = params.M * (1.0 + y * y) ** p
-    out = dlam1 * ct + dlam2 * (1.0 - ct)
-    band = (dct != 0.0) & (rho_sq != 0.0)
-    if np.any(band):
-        yb = y[band]
-        gap = _profile_integral(yb, rho_sq[band], params.s) - _profile_integral(yb, 0.0, params.s)
-        out[band] += params.M * gap * dct[band]
-    return -out
+    ct, dchi = _dir_glue(y / bx)
+    out = params.M * (1.0 + rho_sq + y * y) ** p
+    out *= ct
+    # dlam2 (1 - chi) and the chi' term add exact zeros where chi = 1 and
+    # chi' = 0 (the plateau), so they are formed on the other points only
+    off = np.flatnonzero((ct < 1.0) | (dchi != 0.0))
+    y_off = y[off]
+    out[off] += params.M * (1.0 + y_off * y_off) ** p * (1.0 - ct[off])
+    rho_off = rho_sq[off]
+    dct = dchi[off] * (1.0 + rho_off) / bx[off] ** 3
+    keep = (dct != 0.0) & (rho_off != 0.0)
+    if np.any(keep):
+        yb = y_off[keep]
+        gap = _profile_integral(yb, rho_off[keep], params.s) - _profile_integral(yb, 0.0, params.s)
+        out[off[keep]] += params.M * gap * dct[keep]
+    return np.negative(out, out=out)
 
 
 def lambda_sym(x, xi, params: LambdaParams) -> np.ndarray:
@@ -419,7 +460,7 @@ def transport_sign_check(grid: Grid, params: LambdaParams, *, direction_cap: int
     The directional derivative is the closed form of _blend_slope; a point
     violates the bound when it exceeds it by more than 4 ulp of the rate,
     the roundoff of the plateau identity.  Only the transition band takes
-    an integral, the profile gap, within 1.1e-15 of |F(y, 0)| of mpmath's.
+    an integral, the profile gap, within 2.0e-15 of |F(y, 0)| of mpmath's.
     """
     if direction_cap < 1:
         raise ValueError(f"direction_cap must be at least 1, got {direction_cap}")

@@ -641,6 +641,38 @@ def test_conjugated_generator_apply_matches_dense():
         assert np.max(np.abs(gen.apply(t, v) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_conjugated_apply_evaluates_the_schedule_once_per_time_level(monkeypatch):
+    # a step applies G_v several times at one t: apply takes e^(k(t) w) and
+    # k'(t) w from one evaluation of k and k' per time level, bit for bit
+    # the out-of-place formula, and hands the weight out read-only
+    gen, _, sched = _open_gate_generator()
+    g = gen.grid
+    v = StateVector(g, np.exp(-g.x**2 / 4.0) * (1.0 + 0.5j * g.x))
+    want = {}
+    for t in (0.1, 0.3):
+        weight = np.exp(sched.k(t) * gen.w)
+        u = StateVector(g, gen.pair.solve(v.values.ravel() / weight).reshape(g.shape))
+        gu = gen.pieces.apply(t, u).ravel()
+        want[t] = (weight * gen.pair.apply(gu) + sched.kprime(t) * gen.w * v.values.ravel()).reshape(g.shape)
+    calls = []
+
+    def counted(name):
+        fn = getattr(ConjugationSchedule, name)
+
+        def wrapper(self, t):
+            calls.append(name)
+            return fn(self, t)
+
+        return wrapper
+
+    for name in ("k", "kprime"):
+        monkeypatch.setattr(ConjugationSchedule, name, counted(name))
+    for t in (0.1, 0.1, 0.1, 0.3, 0.3):
+        assert gen.apply(t, v).tobytes() == want[t].tobytes()
+    assert calls == ["k", "kprime"] * 2
+    assert not gen.weight(0.3).flags.writeable
+
+
 def test_conjugated_preconditioned_step_matches_dense():
     # one GMRES solve on G_v, applied matrix-free and preconditioned by the
     # plain route's free step, must equal the solve against I - h G_v(t)

@@ -304,6 +304,31 @@ def test_remainder_norm_never_holds_a_whole_k():
     assert peak - (m * g.n + mk * mk) * item < mk * g.n * item
 
 
+def test_weight_pair_holds_its_factors_and_no_dft_block():
+    # at criterion 8's h-to-band ratio the pair holds U and V_S (n^d x m
+    # each, the factor size) and [[core], [R_C]] in (m + k) x m storage of
+    # its own; building it holds the DFT block of U with its closed rows,
+    # then the closed rows with the QR's copy, never all three (held 2.16 and
+    # peak 4.01 factor sizes, against 3.00 and 4.93 while the pair kept the
+    # DFT block alive through a view)
+    g = Grid(dim=1, n=2048, L=15.0)
+    field = _weight_field(1, 2048, 15.0, 192.0)
+    WeightPair(g, field)  # warm any cached tables outside the trace
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        pair = WeightPair(g, field)
+        held, peak = (b - before for b in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    m, mk = pair._open.size, pair._fc.shape[0]
+    factor = g.node_count * m * np.dtype(np.complex128).itemsize
+    assert 2 * mk < g.n and pair._fc.base is None
+    assert held - (2 * factor + pair._fc.nbytes) < 0.01 * factor
+    assert peak < 4.25 * factor
+
+
 def test_conjugated_dense_and_min_eig_hold_two_square_arrays():
     # with the pair's factors and the dense blocks built, G_v and min_eig
     # allocate G_v and its Hermitian part, plus scratch of a few blocks

@@ -10,8 +10,8 @@ from decaylab.grid import Grid
 from decaylab.symbol import (
     _blend,
     _blend_slope,
+    _dir_glue,
     _dir_profile,
-    _dir_slope,
     _geometry,
     _primitive_directions,
     _profile_integral,
@@ -76,6 +76,27 @@ def test_tilde_chi_plateau_and_support():
     # 2d: x orthogonal to omega gives u = 0, on the plateau
     assert _dir_profile(0.0) == 1.0
     assert _dir_profile(1.0) == 0.0
+
+
+def test_dir_glue_is_the_cutoff_and_its_slope_bitwise():
+    # chi and chi' from one pair of exponentials: chi bit for bit the
+    # cutoff _blend uses, and chi' bit for bit the derivative formula taken
+    # on its own; at u = 0, +-1/2, +-1, across the band, and where
+    # exp(-1/t) (|u| near 1) or exp(-1/(1 - t)) (|u| near 1/2) underflows to
+    # 0 or to a subnormal
+    edge = [1.0 - 1e-4, 1.0 - 1.0 / 1440.0, 0.5 + 1e-4, 0.5 + 1.0 / 1440.0]
+    u = np.concatenate([[0.0, -0.0, 0.5, -0.5, 1.0, -1.0], edge, np.negative(edge), np.linspace(-1.2, 1.2, 481)])
+    t = 2.0 * (1.0 - np.abs(u))
+    band = (t > 0.0) & (t < 1.0)
+    tb = t[band]
+    up, down = np.exp(-1.0 / tb), np.exp(-1.0 / (1.0 - tb))
+    assert np.any(up == 0.0) and np.any(down == 0.0) and np.any((up > 0.0) & (up < np.finfo(np.float64).tiny))
+    slope = np.zeros_like(u)
+    slope[band] = -2.0 * np.sign(u[band]) * up * down * (1.0 / tb**2 + 1.0 / (1.0 - tb) ** 2) / (up + down) ** 2
+    chi, dchi = _dir_glue(u)
+    assert chi.tobytes() == smooth_cutoff(u, 0.5, 1.0).tobytes() == _dir_profile(u).tobytes()
+    assert dchi.tobytes() == slope.tobytes()
+    assert np.all(dchi[~band] == 0.0) and np.all(chi[np.abs(u) <= 0.5] == 1.0)
 
 
 def _lambda1(x, xi, params):
@@ -193,14 +214,15 @@ def test_profile_integral_against_mpmath():
 
 
 def test_profile_integral_is_per_point():
-    # each point takes ceil(asinh(|y|/sqrt(1 + rho_sq)) / 1.5) u-panels of
-    # its own, so y = 1 at rho_sq = 0.5 (u up to 0.74: one panel) next to
-    # y = -14 at rho_sq = 3 (u up to 2.64: two) gets the one panel it gets
-    # alone, bit for bit
+    # each point reads the table of its own u-panel k = floor(U / 0.75),
+    # U = asinh(|y|/sqrt(1 + rho_sq)), with scalar coefficients, so y = 1 at
+    # rho_sq = 0.5 (U = 0.75 less 0.005: panel 0) next to y = -14 at
+    # rho_sq = 3 (U = 2.64: panel 3) gets the value it gets alone, bit for
+    # bit
     alone = _profile_integral(np.array([1.0]), np.array([0.5]), 1.8)
     pair = _profile_integral(np.array([1.0, -14.0]), np.array([0.5, 3.0]), 1.8)
     assert pair[0] == alone[0]
-    # in any batch, whatever its order and size (one to four panels here)
+    # in any batch, whatever its order and size (panels 0 to 6 here)
     rng = np.random.default_rng(11)
     y = rng.uniform(-60.0, 60.0, 3000)
     rho_sq = rng.uniform(0.0, 200.0, 3000)
@@ -212,6 +234,61 @@ def test_profile_integral_is_per_point():
     assert _profile_integral(y.reshape(30, 100), rho_sq.reshape(30, 100), 1.8).shape == (30, 100)
     assert np.array_equal(_profile_integral(y.reshape(30, 100), rho_sq.reshape(30, 100), 1.8).ravel(), full)
     assert _profile_integral(np.zeros((0, 2)), 1.0, 1.8).shape == (0, 2)
+
+
+def _y_with_upper(targets, c):
+    # y >= 0 whose U = asinh(y / sqrt(c)), formed as _profile_integral forms
+    # it, is exactly each target: searched over the floats next to
+    # sqrt(c) sinh(target)
+    y = np.sqrt(c) * np.sinh(targets)
+    for _ in range(64):
+        got = np.arcsinh(y / np.sqrt(c))
+        if np.array_equal(got, targets):
+            return y
+        y = np.where(got < targets, np.nextafter(y, np.inf), np.where(got > targets, np.nextafter(y, 0.0), y))
+    raise AssertionError("no float lands on the target")
+
+
+def test_profile_tables_against_mpmath_at_panel_edges():
+    # the plain integral within 1e-14 relative and the gap within 1e-14 of
+    # |F(y, 0)|, as in the test above, at U = k W (W = 0.75, the panel
+    # edges) and one ulp either side, for k up to 19, and at |y| up to 1e6
+    edges = np.arange(1, 20) * 0.75
+    targets = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    big = np.array([1e3, -4.5e4, 2.5e5, -1e6, 1e6])
+    with mp.workdps(30):
+        for s in (1.05, 1.1, 1.8, 2.0, 3.0, 5.0):
+            for r in (0.0, 3.0, 3200.0):
+                y = np.concatenate([_y_with_upper(targets, 1.0 + r), big])
+                y[::2] *= -1.0
+                got = _profile_integral(y, r, s)
+                gap = got - _profile_integral(y, 0.0, s)
+                want = [_profile_reference(v, r, s) for v in y]
+                want0 = [_profile_reference(v, 0, s) for v in y] if r else want
+                err = np.array([float(abs(g - w)) for g, w in zip(got, want)])
+                assert np.all(err <= 1e-14 * np.abs(np.array(want, dtype=np.float64)))
+                gap_err = np.array([float(abs(g - (w - w0))) for g, w, w0 in zip(gap, want, want0)])
+                assert np.all(gap_err <= 1e-14 * np.abs(np.array(want0, dtype=np.float64)))
+
+
+def test_profile_tables_are_built_once_per_panel_and_read_only():
+    # one table per (s, panel), built on first use and then only read:
+    # C_k and the Chebyshev coefficients of Q_k
+    symbol._panel_table.cache_clear()
+    rng = np.random.default_rng(5)
+    y = rng.uniform(-60.0, 60.0, 2000)
+    rho_sq = rng.uniform(0.0, 200.0, 2000)
+    panels = np.unique(np.floor(np.arcsinh(np.abs(y) / np.sqrt(1.0 + rho_sq)) / 0.75))
+    for s in (1.8, 3.0, 1.8, 3.0):
+        first = _profile_integral(y, rho_sq, s)
+        assert np.array_equal(_profile_integral(y[::-1], rho_sq[::-1], s)[::-1], first)
+    info = symbol._panel_table.cache_info()
+    assert info.misses == info.currsize == 2 * panels.size
+    for k in panels:
+        cum, q = symbol._panel_table(1.8, int(k))
+        assert q.shape == (16,) and not q.flags.writeable and (cum == 0.0) == (k == 0)
+        with pytest.raises(ValueError):
+            q[0] = 1.0
 
 
 def _unique_rows_directions(k):
@@ -406,9 +483,10 @@ def test_blend_slope_matches_central_difference():
     # exactly zero off the band 1/2 < |u| < 1
     uu = np.linspace(-1.2, 1.2, 241)
     fd_glue = (_dir_profile(uu + 1e-5) - _dir_profile(uu - 1e-5)) / 2e-5
-    assert np.max(np.abs(_dir_slope(uu) - fd_glue)) <= 1e-7
+    dchi = _dir_glue(uu)[1]
+    assert np.max(np.abs(dchi - fd_glue)) <= 1e-7
     off = (np.abs(uu) <= 0.5) | (np.abs(uu) >= 1.0)
-    assert np.all(_dir_slope(uu)[off] == 0.0)
+    assert np.all(dchi[off] == 0.0)
 
 
 def test_blend_slope_skips_the_gap_on_the_line_bitwise(monkeypatch):
@@ -423,7 +501,7 @@ def test_blend_slope_skips_the_gap_on_the_line_bitwise(monkeypatch):
     rho_sq[:20] = -0.0
     bx = np.sqrt(1.0 + y * y + rho_sq)
     u = y / bx
-    dct = _dir_slope(u) * (1.0 + rho_sq) / bx**3
+    dct = _dir_glue(u)[1] * (1.0 + rho_sq) / bx**3
     band = dct != 0.0
     assert np.any(band & (rho_sq == 0.0)) and np.any(band & (rho_sq != 0.0))
     pw = 0.5 * (1.0 / p.s - 1.0)
