@@ -234,10 +234,10 @@ def residual_check(ep: ExactProblem, grid, t_samples) -> dict:
     return {"max_residual": worst, "per_t": per_t, "nodes": grid.n}
 
 
-def hypothesis_check(ep: ExactProblem, *, L: float = 20.0, t_samples=(0.0, 0.25, 0.5), theta: float = 2.0) -> dict:
+def hypothesis_check(ep: ExactProblem, *, L: float = 20.0, t_samples=(0.0, 0.25, 0.5)) -> dict:
     """Validate the coefficient growth hypotheses on a sample box.
 
-    Fits the constants in |d^beta Im a| <= C^(|beta|+1) (beta!)^theta
+    Fits the constants in |d^beta Im a| <= C^(|beta|+1) (beta!)^2
     <x>^(-sigma-|beta|) and the same for Re b and Im b at base order
     1 - sigma, for |beta| <= 2 at 257 points and over the sampled times,
     and asserts Re a vanishes identically."""
@@ -253,7 +253,7 @@ def hypothesis_check(ep: ExactProblem, *, L: float = 20.0, t_samples=(0.0, 0.25,
         return [np.imag(a), np.real(b), np.imag(b)]
 
     orders = (-sigma, 1.0 - sigma, 1.0 - sigma)
-    got = gevrey_bound_check(samples, np.linspace(-L, L, 257), orders, theta=theta)
+    got = gevrey_bound_check(samples, np.linspace(-L, L, 257), orders, theta=2.0)
     fits = {name: {**fit, "order": order} for name, fit, order in zip(("a_im", "b_re", "b_im"), got, orders)}
     # np.max, not max: a NaN anywhere must reach the result and fail it
     re_a_max = float(np.max(re_a))

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -41,7 +41,6 @@ from .grid import Grid, _node_rows
 __all__ = [
     "LambdaParams",
     "ConjugationSchedule",
-    "smooth_cutoff",
     "lambda_sym",
     "lambda_on_grid",
     "c_of_lambda",
@@ -57,8 +56,7 @@ class LambdaParams:
     M scales the accumulated-decay profile, h >= 1 sets both the frequency
     activation threshold and the bracket scale of the time part, s > 1 is
     the spatial decay index and sigma in (0, 1) the coefficient-growth
-    index.  The admissible range is s < 1/(1 - sigma); passing critical=True
-    relaxes it to s <= 1/(1 - sigma) for the borderline construction.
+    index.  The admissible range is s < 1/(1 - sigma).
     Cutoffs are built from exp(-1/t) glue, so every piece has the same
     sub-analytic smoothness as the profile itself.
     """
@@ -67,7 +65,6 @@ class LambdaParams:
     h: float
     s: float
     sigma: float
-    critical: bool = False
 
     def __post_init__(self) -> None:
         if not (self.M > 0):
@@ -79,14 +76,8 @@ class LambdaParams:
         if not (0.0 < self.sigma < 1.0):
             raise ValueError(f"sigma must lie in (0, 1), got {self.sigma}")
         limit = 1.0 / (1.0 - self.sigma)
-        if self.critical:
-            if self.s > limit * (1.0 + 1e-12):
-                raise ValueError(f"critical mode needs s <= {limit}, got {self.s}")
-        elif not (self.s < limit):
-            raise ValueError(
-                f"s must satisfy s < 1/(1-sigma) = {limit}, got {self.s} "
-                "(pass critical=True for the borderline case)"
-            )
+        if not (self.s < limit):
+            raise ValueError(f"s must satisfy s < 1/(1-sigma) = {limit}, got {self.s}")
 
 
 @dataclass(frozen=True)
@@ -137,56 +128,29 @@ class ConjugationSchedule:
 # cutoffs
 
 
-def _glue(t: np.ndarray) -> np.ndarray:
-    # exp(-1/t) for t > 0, exactly 0 otherwise
-    out = np.zeros_like(t)
-    pos = t > 0
-    np.divide(-1.0, t, out=out, where=pos)
-    np.exp(out, out=out, where=pos)
-    return out
-
-
-def smooth_cutoff(r, lo: float, hi: float):
-    """Even cutoff: exactly 1 for |r| <= lo, exactly 0 for |r| >= hi,
-    smooth and monotone on the transition band."""
-    if not (0 <= lo < hi):
-        raise ValueError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
+def _cutoff(r, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    # even cutoff chi(r) and its slope d chi/dr: chi is exactly 1 for
+    # |r| <= lo and exactly 0 for |r| >= hi or NaN; with
+    # t = (hi - |r|)/(hi - lo), chi = up/(up + down), up = exp(-1/t),
+    # down = exp(-1/(1-t)), formed on the band 0 < t < 1 only
     r = np.asarray(r, dtype=np.float64)
-    scalar = r.ndim == 0
-    t = (hi - np.abs(np.atleast_1d(r))) / (hi - lo)
-    up = _glue(t)
-    down = _glue(1.0 - t)
-    out = np.where(t >= 1.0, 1.0, np.where(t <= 0.0, 0.0, up / np.where(up + down > 0, up + down, 1.0)))
-    return float(out[0]) if scalar else out
-
-
-def _dir_profile(u) -> np.ndarray:
-    # direction blend chi at u = x . omega / <x>: plateau |u| <= 1/2,
-    # vanishes for |u| >= 1
-    return smooth_cutoff(u, 0.5, 1.0)
-
-
-def _dir_glue(u) -> tuple[np.ndarray, np.ndarray]:
-    # chi = _dir_profile(u) bit for bit, and chi' = d chi/du, from one pair
-    # of exponentials: with t = 2(1 - |u|), chi = up/(up + down),
-    # up = exp(-1/t), down = exp(-1/(1-t)), on the band 0 < t < 1
-    u = np.asarray(u, dtype=np.float64)
-    t = 2.0 * (1.0 - np.abs(u))
-    chi = (t >= 1.0).astype(np.float64)
-    slope = np.zeros_like(t)
+    t = (hi - np.abs(r)) / (hi - lo)
+    # np.array, not astype: a 0-d r must give a writable 0-d chi
+    chi = np.array(t >= 1.0, dtype=np.float64)
+    slope = np.zeros_like(chi)
     band = (t > 0.0) & (t < 1.0)
     tb = t[band]
     up = np.exp(-1.0 / tb)
     down = np.exp(-1.0 / (1.0 - tb))
     den = up + down
     chi[band] = up / den
-    slope[band] = -2.0 * np.sign(u[band]) * up * down * (1.0 / tb**2 + 1.0 / (1.0 - tb) ** 2) / den**2
+    slope[band] = (-1.0 / (hi - lo)) * np.sign(r[band]) * up * down * (1.0 / tb**2 + 1.0 / (1.0 - tb) ** 2) / den**2
     return chi, slope
 
 
 def _freq_gate(xi_norm, h: float) -> np.ndarray:
     # 1 - cutoff: exactly 0 for |xi| <= h, exactly 1 for |xi| >= 2h
-    return 1.0 - smooth_cutoff(np.asarray(xi_norm) / h, 1.0, 2.0)
+    return 1.0 - _cutoff(np.asarray(xi_norm) / h, 1.0, 2.0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +280,7 @@ def _blend(y, rho_sq, bx, params: LambdaParams) -> np.ndarray:
     line are integrated again: a 1-D field takes one integral."""
     prof = _profile_integral(y, rho_sq, params.s)
     mix = params.M * prof
-    ct = _dir_profile(y / bx)
+    ct = _cutoff(y / bx, 0.5, 1.0)[0]
     mix *= ct
     off = ct < 1.0
     lam2 = prof[off]
@@ -338,10 +302,10 @@ def _blend_slope(y, rho_sq, bx, params: LambdaParams) -> np.ndarray:
     and rho_sq are nonzero (at rho_sq = 0 both are the same bits); it is
     within 2.0e-15 of |F(y, 0)|, the scale at which its terms cancel, of
     30-digit mpmath over _profile_integral's ranges.  chi and chi' come
-    from one pair of exponentials (_dir_glue).
+    from one pair of exponentials (_cutoff).
     """
     p = 0.5 * (1.0 / params.s - 1.0)
-    ct, dchi = _dir_glue(y / bx)
+    ct, dchi = _cutoff(y / bx, 0.5, 1.0)
     out = params.M * (1.0 + rho_sq + y * y) ** p
     out *= ct
     # dlam2 (1 - chi) and the chi' term add exact zeros where chi = 1 and
@@ -392,7 +356,7 @@ def _primitive_directions(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     as one integer, its row-major index in the box its offsets span, so
     sorting the keys sorts the vectors lexicographically.
     """
-    prim = k // np.gcd.reduce(np.abs(k), axis=1)[:, None]
+    prim = k // reduce(np.gcd, np.abs(k).T)[:, None]
     # canonical antipodal representative: first nonzero component positive
     flip = (prim[:, 0] < 0) | ((prim[:, 0] == 0) & (prim[:, -1] < 0))
     prim[flip] *= -1

@@ -10,8 +10,7 @@ from decaylab.grid import Grid
 from decaylab.symbol import (
     _blend,
     _blend_slope,
-    _dir_glue,
-    _dir_profile,
+    _cutoff,
     _geometry,
     _primitive_directions,
     _profile_integral,
@@ -21,21 +20,19 @@ from decaylab.symbol import (
     gevrey_bound_check,
     lambda_on_grid,
     lambda_sym,
-    smooth_cutoff,
     transport_sign_check,
 )
 
-P1 = LambdaParams(M=1.0, h=1.0, s=2.0, sigma=0.5, critical=True)
+P1 = LambdaParams(M=1.0, h=1.0, s=2.0, sigma=0.6)
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
         LambdaParams(M=1.0, h=1.0, s=2.5, sigma=0.5)  # s above 1/(1-sigma)
     with pytest.raises(ValueError):
-        LambdaParams(M=1.0, h=1.0, s=2.0, sigma=0.5)  # equality needs critical
+        LambdaParams(M=1.0, h=1.0, s=2.0, sigma=0.5)  # s at 1/(1-sigma)
     with pytest.raises(ValueError):
         LambdaParams(M=1.0, h=0.5, s=1.8, sigma=0.5)  # h below one
-    LambdaParams(M=1.0, h=1.0, s=2.0, sigma=0.5, critical=True)
 
 
 def test_schedule_bound_and_closed_form():
@@ -56,47 +53,59 @@ def test_schedule_bound_and_closed_form():
         sched.k(-0.1)
 
 
-def test_smooth_cutoff_exact_tails():
+def test_cutoff_exact_tails():
     r = np.array([0.0, 0.5, 1.0, 1.3, 1.7, 2.0, 3.0, -0.4, -2.5])
-    v = smooth_cutoff(r, 1.0, 2.0)
+    v = _cutoff(r, 1.0, 2.0)[0]
     assert np.all(v[np.abs(r) <= 1.0] == 1.0)
     assert np.all(v[np.abs(r) >= 2.0] == 0.0)
     assert np.all((v >= 0.0) & (v <= 1.0))
     band = np.linspace(1.01, 1.99, 50)
-    vb = smooth_cutoff(band, 1.0, 2.0)
+    vb = _cutoff(band, 1.0, 2.0)[0]
     assert np.all(np.diff(vb) < 0.0)  # strictly decreasing across the band
-    assert smooth_cutoff(0.3, 1.0, 2.0) == 1.0  # scalar in, scalar out
 
 
 def test_tilde_chi_plateau_and_support():
-    # the direction blend is _dir_profile at u = x . omega / <x>
+    # the direction blend is the cutoff on (1/2, 1) at u = x . omega / <x>
+    def chi(u):
+        return _cutoff(u, 0.5, 1.0)[0]
+
     # x . omega / <x> = 3/sqrt(10) ~ 0.95 -> outside plateau, inside support
-    assert 0.0 < _dir_profile(3.0 / np.sqrt(10.0)) < 1.0
-    assert _dir_profile(0.2 / np.sqrt(1.04)) == 1.0
+    assert 0.0 < chi(3.0 / np.sqrt(10.0)) < 1.0
+    assert chi(0.2 / np.sqrt(1.04)) == 1.0
     # 2d: x orthogonal to omega gives u = 0, on the plateau
-    assert _dir_profile(0.0) == 1.0
-    assert _dir_profile(1.0) == 0.0
+    assert chi(0.0) == 1.0
+    assert chi(1.0) == 0.0
 
 
-def test_dir_glue_is_the_cutoff_and_its_slope_bitwise():
-    # chi and chi' from one pair of exponentials: chi bit for bit the
-    # cutoff _blend uses, and chi' bit for bit the derivative formula taken
-    # on its own; at u = 0, +-1/2, +-1, across the band, and where
-    # exp(-1/t) (|u| near 1) or exp(-1/(1 - t)) (|u| near 1/2) underflows to
-    # 0 or to a subnormal
-    edge = [1.0 - 1e-4, 1.0 - 1.0 / 1440.0, 0.5 + 1e-4, 0.5 + 1.0 / 1440.0]
-    u = np.concatenate([[0.0, -0.0, 0.5, -0.5, 1.0, -1.0], edge, np.negative(edge), np.linspace(-1.2, 1.2, 481)])
-    t = 2.0 * (1.0 - np.abs(u))
-    band = (t > 0.0) & (t < 1.0)
-    tb = t[band]
-    up, down = np.exp(-1.0 / tb), np.exp(-1.0 / (1.0 - tb))
-    assert np.any(up == 0.0) and np.any(down == 0.0) and np.any((up > 0.0) & (up < np.finfo(np.float64).tiny))
-    slope = np.zeros_like(u)
-    slope[band] = -2.0 * np.sign(u[band]) * up * down * (1.0 / tb**2 + 1.0 / (1.0 - tb) ** 2) / (up + down) ** 2
-    chi, dchi = _dir_glue(u)
-    assert chi.tobytes() == smooth_cutoff(u, 0.5, 1.0).tobytes() == _dir_profile(u).tobytes()
-    assert dchi.tobytes() == slope.tobytes()
-    assert np.all(dchi[~band] == 0.0) and np.all(chi[np.abs(u) <= 0.5] == 1.0)
+def test_cutoff_and_its_slope_bitwise():
+    # chi and chi' bit for bit the formula written out, for the direction
+    # window (1/2, 1) and the frequency window (1, 2): at r = +-0, +-lo,
+    # +-hi, NaN, +-inf, across the band, and where exp(-1/t) (|r| near hi)
+    # or exp(-1/(1 - t)) (|r| near lo) underflows to 0 or to a subnormal;
+    # a 0-d r gives 0-d results with the same bits
+    for lo, hi in [(0.5, 1.0), (1.0, 2.0)]:
+        w = hi - lo
+        edge = [hi - 2e-4 * w, hi - w / 720.0, lo + 2e-4 * w, lo + w / 720.0]
+        special = [0.0, -0.0, lo, -lo, hi, -hi, np.nan, np.inf, -np.inf]
+        r = np.concatenate([special, edge, np.negative(edge), np.linspace(-1.2 * hi, 1.2 * hi, 481)])
+        t = (hi - np.abs(r)) / w
+        band = (t > 0.0) & (t < 1.0)
+        tb = t[band]
+        up, down = np.exp(-1.0 / tb), np.exp(-1.0 / (1.0 - tb))
+        assert np.any(up == 0.0) and np.any(down == 0.0) and np.any((up > 0.0) & (up < np.finfo(np.float64).tiny))
+        want = np.where(t >= 1.0, 1.0, 0.0)
+        want[band] = up / (up + down)
+        slope = np.zeros_like(r)
+        slope[band] = (-1.0 / w) * np.sign(r[band]) * up * down * (1.0 / tb**2 + 1.0 / (1.0 - tb) ** 2) / (up + down) ** 2
+        chi, dchi = _cutoff(r, lo, hi)
+        assert chi.tobytes() == want.tobytes()
+        assert dchi.tobytes() == slope.tobytes()
+        assert np.all(dchi[~band] == 0.0) and np.all(chi[np.abs(r) <= lo] == 1.0)
+        assert np.all(chi[np.isnan(r) | (np.abs(r) >= hi)] == 0.0)
+        for i, ri in enumerate(r[: len(special) + 2 * len(edge)]):
+            c0, d0 = _cutoff(ri, lo, hi)
+            assert c0.shape == d0.shape == ()
+            assert c0.tobytes() == chi[i].tobytes() and d0.tobytes() == dchi[i].tobytes()
 
 
 def _lambda1(x, xi, params):
@@ -120,7 +129,7 @@ def test_lambda1_2d_frozen_value():
 
 
 def test_lambda_linear_in_m():
-    p3 = LambdaParams(M=3.0, h=1.0, s=2.0, sigma=0.5, critical=True)
+    p3 = LambdaParams(M=3.0, h=1.0, s=2.0, sigma=0.6)
     assert _lambda1([[0.0]], [[2.0]], p3)[0] == 0.0
     assert _lambda1([[1.3]], [[2.0]], p3)[0] == pytest.approx(
         3.0 * _lambda1([[1.3]], [[2.0]], P1)[0], rel=1e-14
@@ -152,7 +161,7 @@ def test_blend_matches_two_profile_formula_bitwise(monkeypatch):
         [rng.uniform(0.0, 900.0, 500) * (rng.uniform(size=500) < 0.8), np.zeros(8), np.full(8, -0.0)]
     )
     bx = np.sqrt(1.0 + y * y + rho_sq)
-    ct = _dir_profile(y / bx)
+    ct = _cutoff(y / bx, 0.5, 1.0)[0]
     assert np.any(ct == 1.0) and np.any((ct > 0.0) & (ct < 1.0)) and np.any(ct == 0.0)
     line = rho_sq == 0.0
     assert np.any(line & (ct < 1.0)) and np.any(~line & (ct < 1.0))
@@ -174,7 +183,7 @@ def test_blend_matches_two_profile_formula_bitwise(monkeypatch):
     calls.clear()
     x = np.linspace(-30.0, 30.0, 257)
     bx1 = np.sqrt(1.0 + x * x)
-    lam, ct1 = p.M * profile(x, 0.0, p.s), _dir_profile(x / bx1)
+    lam, ct1 = p.M * profile(x, 0.0, p.s), _cutoff(x / bx1, 0.5, 1.0)[0]
     want1 = -(lam * ct1 + lam * (1.0 - ct1))
     assert _blend(x, np.zeros_like(x), bx1, p).tobytes() == want1.tobytes()
     assert calls == [x.size]
@@ -482,8 +491,8 @@ def test_blend_slope_matches_central_difference():
     # the glue derivative against a central difference of the profile,
     # exactly zero off the band 1/2 < |u| < 1
     uu = np.linspace(-1.2, 1.2, 241)
-    fd_glue = (_dir_profile(uu + 1e-5) - _dir_profile(uu - 1e-5)) / 2e-5
-    dchi = _dir_glue(uu)[1]
+    fd_glue = (_cutoff(uu + 1e-5, 0.5, 1.0)[0] - _cutoff(uu - 1e-5, 0.5, 1.0)[0]) / 2e-5
+    dchi = _cutoff(uu, 0.5, 1.0)[1]
     assert np.max(np.abs(dchi - fd_glue)) <= 1e-7
     off = (np.abs(uu) <= 0.5) | (np.abs(uu) >= 1.0)
     assert np.all(dchi[off] == 0.0)
@@ -501,11 +510,11 @@ def test_blend_slope_skips_the_gap_on_the_line_bitwise(monkeypatch):
     rho_sq[:20] = -0.0
     bx = np.sqrt(1.0 + y * y + rho_sq)
     u = y / bx
-    dct = _dir_glue(u)[1] * (1.0 + rho_sq) / bx**3
+    ct, dchi = _cutoff(u, 0.5, 1.0)
+    dct = dchi * (1.0 + rho_sq) / bx**3
     band = dct != 0.0
     assert np.any(band & (rho_sq == 0.0)) and np.any(band & (rho_sq != 0.0))
     pw = 0.5 * (1.0 / p.s - 1.0)
-    ct = _dir_profile(u)
     want = p.M * (1.0 + rho_sq + y * y) ** pw * ct + p.M * (1.0 + y * y) ** pw * (1.0 - ct)
     gap = _profile_integral(y[band], rho_sq[band], p.s) - _profile_integral(y[band], 0.0, p.s)
     want[band] += p.M * gap * dct[band]
