@@ -284,8 +284,8 @@ def _gmres(apply_ap, b: np.ndarray, y0: np.ndarray, *, tol: float = _GMRES_TOL, 
     (x, relres, y, A x): x = P y, the relative residual |b - A x| / |b| of
     that recurrence, y, and A x = b - r.  They equal a fresh apply at y and
     its true residual up to roundoff.  A zero b returns zeros and no apply
-    is made.  The Hessenberg entries, rotations, g and z are Python complex
-    scalars, and the q_j and P q_j grow as lists, so a cycle of k Arnoldi
+    is made; a NaN residual ends it.  The Hessenberg entries, rotations, g
+    and z are Python complex scalars, and the q_j and P q_j grow as lists, so a cycle of k Arnoldi
     steps allocates O(k) vectors, not (restart + 1) x n blocks; y0 is never
     written.
     """
@@ -297,7 +297,7 @@ def _gmres(apply_ap, b: np.ndarray, y0: np.ndarray, *, tol: float = _GMRES_TOL, 
     r = b - ap
     relres = float(np.linalg.norm(r)) / bnorm
     for _ in range(max_restarts):
-        if relres <= tol:
+        if not relres > tol:  # converged, or NaN
             break
         beta = relres * bnorm
         q = [r * (1.0 / beta)]
@@ -325,7 +325,7 @@ def _gmres(apply_ap, b: np.ndarray, y0: np.ndarray, *, tol: float = _GMRES_TOL, 
             cols.append(col)
             g.append(-sn * g[j])
             g[j] = c.conjugate() * g[j]
-            if abs(g[j + 1]) <= tol * bnorm or hnorm <= 1e-14 * beta:
+            if not abs(g[j + 1]) > tol * bnorm or hnorm <= 1e-14 * beta:
                 break
         k = j + 1
         # back substitution: cheaper than a general solve at the usual k of 1-2
@@ -395,7 +395,7 @@ def _crank_nicolson(gen, v: StateVector, dt: float, nsteps: int, *, method: str,
     check (check_retries counts them); the run aborts only when that check
     fails too (worst_true_relres, the worst deciding check; a zero
     right-hand side counts as 0).  Checks and retries count in the applies
-    per step.
+    per step.  Each gate counts NaN as failed, and NaN as the worst value.
     Returns v, the trace and the shared report keys.
     """
     grid = v.grid
@@ -445,24 +445,25 @@ def _crank_nicolson(gen, v: StateVector, dt: float, nsteps: int, *, method: str,
             for c, dk in zip(_PREDICTOR[len(ds)], ds):
                 y0 = y0 + c * dk
             vals, relres, y, av = _gmres(apply_ap, rhs, y0)
-            worst_relres = max(worst_relres, relres)
-            if relres > _GMRES_TOL:
+            worst_relres = max(relres, worst_relres)  # max keeps a NaN first argument
+            if not relres <= _GMRES_TOL:
                 aborted = True
-                reason = f"iterative step solve stalled at t={t_next:.6g}"
+                what = "stalled" if math.isfinite(relres) else "hit a non-finite residual"
+                reason = f"iterative step solve {what} at t={t_next:.6g}"
                 break
             if sampled:
                 # one real apply at y checks the recurrence and resets its drift
                 av, vals = apply_ap(y)
                 true_relres = _relres(rhs, av)
-                if true_relres > _GMRES_TOL:
+                if not true_relres <= _GMRES_TOL:
                     # the recurrence stops within roundoff of the gate: one
                     # more solve from the checked y, to half the gate
                     check_retries += 1
                     _, _, y, _ = _gmres(apply_ap, rhs, y, tol=0.5 * _GMRES_TOL)
                     av, vals = apply_ap(y)
                     true_relres = _relres(rhs, av)
-                worst_true_relres = max(worst_true_relres, true_relres)
-                if true_relres > _GMRES_TOL:
+                worst_true_relres = max(true_relres, worst_true_relres)
+                if not true_relres <= _GMRES_TOL:
                     aborted = True
                     reason = (
                         f"step solve's true residual {true_relres:.3e} exceeded {_GMRES_TOL:g} at t={t_next:.6g}"
@@ -474,7 +475,7 @@ def _crank_nicolson(gen, v: StateVector, dt: float, nsteps: int, *, method: str,
         if sampled:
             frac = _edge_fraction(gen.physical(t, v))
             trace.add(t, _trace_values(v, indices), frac)
-            if frac > threshold:
+            if not frac <= threshold:
                 aborted = True
                 reason = (
                     f"boundary contamination {frac:.3e} exceeded threshold {threshold:.3e} at t={t:.6g}"
@@ -509,8 +510,9 @@ def solve(problem: Problem, grid: Grid, dt: float, *, indices: Sequence[GsIndice
     each trace sample) and reports applies per step, the worst recurrence
     residual, the worst checked one and the check retries under "gmres";
     "dense", a reference, solves against the assembled matrix.  Aborts
-    (GMRES stall, true-residual check failed after its retry, boundary
-    contamination) are those of the shared loop, _crank_nicolson.
+    (GMRES stall or non-finite residual, true-residual check failed after
+    its retry, boundary contamination; NaN fails each) are those of the
+    shared loop, _crank_nicolson.
     """
     pieces = _GeneratorPieces(problem, grid)
     nsteps = _steps_for(problem.T, dt)
@@ -704,7 +706,7 @@ def gronwall_check(times, norms, source_norms=None) -> dict:
     return {"C0": float(ratios[i]), "argmax_t": float(times[i]), "ratios": ratios.tolist()}
 
 
-def estimate_loss_delta(phi, t: float, delta_grid, *, sigma: float, s: float, rho2_g: float = 1.0, m2: float = 0.0) -> dict:
+def estimate_loss_delta(phi, t: float, delta_grid, *, sigma: float, s: float, rho2_g: float = 1.0) -> dict:
     """Classify each candidate decay loss delta as convergent or divergent.
 
     phi(t, x) is the log of the exact state magnitude.  For each delta the
@@ -715,8 +717,8 @@ def estimate_loss_delta(phi, t: float, delta_grid, *, sigma: float, s: float, rh
     delta = 0 serves the whole grid: a loss delta lowers the <x>^(1/s)
     coefficient by exactly delta.  The dominant-power coefficient decides
     the verdict, a coefficient within 1e-7 of zero counting as absent; ties
-    fall to the lower power and then to the polynomial criterion
-    2 m2 < -1.  infimal_delta is the smallest convergent candidate.
+    fall to the lower power and then to "divergent" (a constant tail is not
+    square-integrable).  infimal_delta is the smallest convergent candidate.
     """
     p = 1.0 - sigma
     q = 1.0 / s
@@ -737,7 +739,7 @@ def estimate_loss_delta(phi, t: float, delta_grid, *, sigma: float, s: float, rh
     verdicts = np.select(
         [cond for col in c.T for cond in (col > tol, col < -tol)],
         ["divergent", "convergent"] * len(powers),
-        default="convergent" if 2.0 * m2 < -1.0 else "divergent",
+        default="divergent",
     )
     fits = [
         {"delta": float(d), "dominant_coef": float(row[0]), "secondary_coef": None if critical else float(row[1])}

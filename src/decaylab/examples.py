@@ -253,7 +253,7 @@ def hypothesis_check(ep: ExactProblem, *, L: float = 20.0, t_samples=(0.0, 0.25,
         return [np.imag(a), np.real(b), np.imag(b)]
 
     orders = (-sigma, 1.0 - sigma, 1.0 - sigma)
-    got = gevrey_bound_check(samples, np.linspace(-L, L, 257), orders, theta=2.0)
+    got = gevrey_bound_check(samples, np.linspace(-L, L, 257), orders)
     fits = {name: {**fit, "order": order} for name, fit, order in zip(("a_im", "b_re", "b_im"), got, orders)}
     # np.max, not max: a NaN anywhere must reach the result and fail it
     re_a_max = float(np.max(re_a))

@@ -6,8 +6,9 @@ weight operator applied rightmost-first to a state u:
     W u = <x>^m2 <D>^m1 exp(rho2 <x>^(1/s)) exp(rho1 <D>^(1/theta)) u
 
 followed by the discrete L2 norm.  <.> is the plain bracket sqrt(1 + |.|^2);
-frequency factors act as DFT multipliers.  Weights that leave the double
-range are handled in the log domain and reported, never silently clipped.
+frequency factors act as DFT multipliers.  The spatial factors left of the
+last frequency factor and the sum of squares stay in the log domain, so a
+norm past the double range is reported, never silently clipped.
 """
 from __future__ import annotations
 
@@ -27,8 +28,6 @@ __all__ = [
     "norm_box_sweep",
 ]
 
-# exponents beyond this are factored out before exponentiation
-_LOG_GUARD = 600.0
 _DOUBLE_MAX_LOG = float(np.log(np.finfo(np.float64).max))
 
 
@@ -61,7 +60,8 @@ class NormResult:
     """Extended-range norm value.
 
     value is exp(log_value) when representable, inf otherwise; overflow
-    records whether any weight or the value itself left the double range.
+    records whether any weight, weighted entry or the value itself left the
+    double range.
     """
 
     value: float
@@ -85,100 +85,74 @@ def _freq_bracket(grid: Grid) -> np.ndarray:
     return np.sqrt(1.0 + grid.xi_norm**2)
 
 
-def _pigr_scaled(u: StateVector, idx: GsIndices) -> tuple[np.ndarray, float, bool]:
-    """Apply the four weight factors rightmost-first.
+def _pigr_scaled(u: StateVector, idx: GsIndices) -> tuple[np.ndarray, float, np.ndarray, bool]:
+    """Apply the factors rightmost-first, up to the last frequency factor.
 
-    Returns (values, log_scale, overflow): the true result is
-    values * exp(log_scale).  A factor whose log-weight would overflow is
-    rescaled by its maximum, which moves into log_scale.
+    Returns (values, log_scale, logw, overflow): W u = values *
+    exp(log_scale + logw), logw the log of the spatial factors left of the
+    last frequency factor.  Each exp factor applied to the values is divided
+    by its maximum, whose log moves into log_scale.
     """
     g = u.grid
-    work = u.values
-    log_scale = 0.0
-    overflow = False
-
+    bx = _space_bracket(g)
+    log_rho2 = idx.rho2 * bx ** (1.0 / idx.s)
+    logw = idx.m2 * np.log(bx)
+    work, tops = u.values, []
     if idx.rho1 != 0.0:
-        logw = idx.rho1 * _freq_bracket(g) ** (1.0 / idx.theta)
-        top = float(logw.max())
-        shift = top if top > _LOG_GUARD else 0.0
-        if top > _DOUBLE_MAX_LOG:
-            overflow = True
-        work = apply_multiplier(StateVector(g, work), np.exp(logw - shift)).values
-        log_scale += shift
-
-    logw = idx.rho2 * _space_bracket(g) ** (1.0 / idx.s)
-    top = float(logw.max())
-    shift = top if top > _LOG_GUARD else 0.0
-    if top > _DOUBLE_MAX_LOG:
-        overflow = True
-    work = work * np.exp(logw - shift)
-    log_scale += shift
-
-    if idx.m1 != 0.0:
+        logf = idx.rho1 * _freq_bracket(g) ** (1.0 / idx.theta)
+        tops.append(float(logf.max()))
+        work = apply_multiplier(StateVector(g, work), np.exp(logf - tops[-1])).values
+    if idx.m1 == 0.0:
+        logw = logw + log_rho2
+    else:
+        tops.append(float(log_rho2.max()))
+        work = work * np.exp(log_rho2 - tops[-1])
         work = apply_multiplier(StateVector(g, work), _freq_bracket(g) ** idx.m1).values
-
-    if idx.m2 != 0.0:
-        work = work * _space_bracket(g) ** idx.m2
-
-    return work, log_scale, overflow
+    return work, sum(tops, 0.0), logw, any(top > _DOUBLE_MAX_LOG for top in tops)
 
 
 def pigr_apply(u: StateVector, idx: GsIndices) -> StateVector:
     """Apply the weight operator W to a spatial state.
 
-    With all indices zero this is the identity.  If a weight overflows the
-    double range the computation is carried out in rescaled form and the
-    overflowing scale is re-applied at the end (entries may round to inf);
-    use gs_norm_ex for a fully extended-range norm.
+    With all indices zero this is the identity.  Entries whose weighted
+    value leaves the double range round to inf (zeros stay zero); use
+    gs_norm_ex for an extended-range norm.
     """
     if u.space != "x":
         raise ValueError("pigr_apply expects a spatial state")
-    vals, log_scale, _ = _pigr_scaled(u, idx)
-    if log_scale != 0.0:
-        scale = np.exp(log_scale)  # inf when past the double range
-        vals = np.where(vals == 0.0, 0.0, vals * scale)
+    vals, log_scale, logw, _ = _pigr_scaled(u, idx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.where(vals == 0.0, 0.0, vals * np.exp(log_scale + logw))
     return StateVector(u.grid, vals)
 
 
 def _logsumexp(a: np.ndarray) -> float:
-    a = a[np.isfinite(a) | (a == np.inf)]
+    """log sum exp(a); -inf terms are zeros, and a NaN or +inf term decides."""
+    a = a[a != -np.inf]
     if a.size == 0:
         return -np.inf
     top = float(a.max())
-    if top == -np.inf:
-        return -np.inf
+    if not np.isfinite(top):
+        return top
     return top + float(np.log(np.sum(np.exp(a - top))))
 
 
 def gs_norm_ex(u: StateVector, idx: GsIndices) -> NormResult:
-    """Extended-range weighted norm of a spatial state."""
+    """Extended-range weighted norm of a spatial state.  A NaN entry makes
+    it NaN, as does an inf entry through a frequency factor (its DFT is
+    undefined); an inf entry otherwise makes it inf, with overflow set."""
     if u.space != "x":
         raise ValueError("gs_norm_ex expects a spatial state")
     g = u.grid
-
-    if idx.m1 == 0.0 and idx.rho1 == 0.0:
-        # pointwise path: exact in the log domain, no transforms
-        bx = _space_bracket(g)
-        logw = idx.m2 * np.log(bx) + idx.rho2 * bx ** (1.0 / idx.s)
-        mag = np.abs(u.values)
-        logmag = np.full(mag.shape, -np.inf)
-        np.log(mag, out=logmag, where=mag > 0)
-        overflow = bool(np.max(logw + np.where(mag > 0, logmag, 0.0)) > _DOUBLE_MAX_LOG)
-        logterms = 2.0 * (logw + logmag)
-        log_sq = _logsumexp(logterms.ravel()) + g.dim * np.log(g.dx)
-        log_value = 0.5 * log_sq
-        value = float(np.exp(log_value)) if log_value <= _DOUBLE_MAX_LOG else np.inf
-        overflow = overflow or not np.isfinite(value) and log_value > 0
-        return NormResult(value=value, log_value=float(log_value), overflow=bool(overflow))
-
-    vals, log_scale, overflow = _pigr_scaled(u, idx)
-    l2 = float(np.sqrt(np.sum(np.abs(vals) ** 2)) * g.dx ** (g.dim / 2.0))
-    if l2 == 0.0:
-        return NormResult(0.0, -np.inf, overflow)
-    log_value = log_scale + np.log(l2)
-    value = float(np.exp(log_value)) if log_value <= _DOUBLE_MAX_LOG else np.inf
-    if not np.isfinite(value):
-        overflow = True
+    vals, log_scale, logw, overflow = _pigr_scaled(u, idx)
+    mag = np.abs(vals)
+    logmag = np.full(mag.shape, -np.inf)
+    np.log(mag, out=logmag, where=mag != 0.0)  # NaN and inf pass through
+    overflow = overflow or bool(np.max(logw + np.where(mag > 0, logmag, 0.0)) > _DOUBLE_MAX_LOG)
+    logterms = 2.0 * (logw + logmag)
+    log_value = log_scale + 0.5 * (_logsumexp(logterms.ravel()) + g.dim * np.log(g.dx))
+    value = np.inf if log_value > _DOUBLE_MAX_LOG else float(np.exp(log_value))
+    overflow = overflow or value == np.inf
     return NormResult(value=value, log_value=float(log_value), overflow=bool(overflow))
 
 

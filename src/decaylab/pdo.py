@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _MAX_NODES = 4096
+_EIG_MAX_NODES = 2048  # hermitian_min_eig's cap
 
 # rows or columns per block of WeightPair.conjugate's O(n^2 m) products, so
 # their temporaries are n^d x _BLOCK, not n^d x n^d (n = 512 splits in four)
@@ -330,12 +331,12 @@ def conjugation_remainder_check(hs, *, n: int, L: float, M: float, s: float, sig
     return {"rows": rows, "h0": h0, "n": n, "L": L}
 
 
-def hermitian_min_eig(op: DenseOp, *, max_nodes: int = 2048) -> float:
+def hermitian_min_eig(op: DenseOp) -> float:
     """Smallest eigenvalue of the Hermitian part (A + A^H)/2, formed in one
     conjugate copy of A; A itself is left as it is."""
     n = op.grid.node_count
-    if n > max_nodes:
-        raise ValueError(f"hermitian_min_eig caps nodes at {max_nodes}, got {n}")
+    if n > _EIG_MAX_NODES:
+        raise ValueError(f"hermitian_min_eig caps nodes at {_EIG_MAX_NODES}, got {n}")
     herm = op.matrix.conj().T
     herm += op.matrix
     herm *= 0.5

@@ -485,9 +485,10 @@ def transport_sign_check(grid: Grid, params: LambdaParams, *, direction_cap: int
 # derivative growth check
 
 
-def gevrey_bound_check(fn, x, orders, *, theta: float) -> list[dict]:
+def gevrey_bound_check(fn, x, orders) -> list[dict]:
     """Fit, for each of several functions f on a 1-D sample x, the smallest
-    C with |d^k f| <= C^(k+1) (k!)^theta <x>^(order - k), for k = 0, 1, 2.
+    C with |d^k f| <= C^(k+1) (k!)^2 <x>^(order - k), for k = 0, 1, 2: the
+    Gevrey class of index 2.
 
     fn(nodes) returns one row per function with its values on the node
     array along the last axis (a row may stack several samples, such as
@@ -506,7 +507,7 @@ def gevrey_bound_check(fn, x, orders, *, theta: float) -> list[dict]:
         ders = (f0[r], (fp[r] - fm[r]) / (2.0 * step), (fp[r] - 2.0 * f0[r] + fm[r]) / step**2)
         per: dict[str, float] = {}
         for k, der in enumerate(ders):
-            env = math.factorial(k) ** theta * bh ** (order - k)
+            env = math.factorial(k) ** 2.0 * bh ** (order - k)
             per[str(k)] = float(np.max(np.abs(der) / env) ** (1.0 / (k + 1.0)))
         fits.append({"C": float(np.max(list(per.values()))), "per_beta": per})  # a NaN order propagates
     return fits

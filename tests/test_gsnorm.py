@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decaylab.examples import example1
 from decaylab.grid import Grid, StateVector, sample
 from decaylab.gsnorm import GsIndices, gs_norm_ex, norm_box_sweep, pigr_apply
 
@@ -101,13 +102,66 @@ def test_overflow_reports_log_value():
     assert res.log_value == pytest.approx(ref_log, rel=1e-12)
 
 
-def test_general_path_agrees_with_fast_path():
+@pytest.mark.parametrize(
+    "idx", [GsIndices(m1=1.0, rho2=90.0), GsIndices(rho1=0.1, rho2=90.0)], ids=["m1", "rho1"]
+)
+def test_log_value_is_homogeneous_across_the_squaring_window(idx):
+    # at rho2=90 the squares of W u for example 1's datum pass e^709 while
+    # its norm (about e^399) is representable: scaling u by e^-300 brings
+    # the squares back into range and must shift the log-norm by exactly 300
+    g = Grid(dim=1, n=256, L=20.0)
+    u = sample(g, example1(0.5, 1.8).problem.g)
+    full = gs_norm_ex(u, idx)
+    low = gs_norm_ex(StateVector(g, np.exp(-300.0) * u.values), idx)
+    assert np.isfinite(full.value) and not full.overflow
+    assert full.value == pytest.approx(np.exp(full.log_value), rel=1e-13)
+    assert full.log_value == pytest.approx(low.log_value + 300.0, abs=1e-11)
+
+
+def test_pointwise_norm_is_the_log_domain_formula_bitwise():
+    # with no frequency factor the norm is 1/2 (logsumexp(2 (logw + log|u|))
+    # + d log dx), logw = m2 log<x> + rho2 <x>^(1/s), with nothing rescaled
     u = gaussian_state(n=128, L=10.0)
-    idx = GsIndices(m2=1.0, rho2=0.4, s=2.0)
-    fast = gs_norm_ex(u, idx)
-    # forcing the frequency branch with m1=0 weights of value one
-    slow = gs_norm_ex(u, GsIndices(m1=0.0, m2=1.0, rho1=0.0, rho2=0.4, s=2.0))
-    assert fast.value == pytest.approx(slow.value, rel=1e-10)
+    g = u.grid
+    bx = np.sqrt(1.0 + g.x_norm**2)
+    for idx in (GsIndices(), GsIndices(m2=-1.0, rho2=0.3, s=1.8), GsIndices(m2=2.0, rho2=400.0)):
+        logw = idx.m2 * np.log(bx) + idx.rho2 * bx ** (1.0 / idx.s)
+        terms = (2.0 * (logw + np.log(np.abs(u.values)))).ravel()
+        top = float(terms.max())
+        lse = top + float(np.log(np.sum(np.exp(terms - top))))
+        assert gs_norm_ex(u, idx).log_value == 0.5 * (lse + g.dim * np.log(g.dx))
+
+
+@pytest.mark.parametrize(
+    "idx", [GsIndices(), GsIndices(m1=1.0, rho2=0.5), GsIndices(m2=1.0, rho1=0.1)], ids=["pointwise", "m1", "rho1"]
+)
+def test_nan_entry_makes_the_norm_nan(idx):
+    g = Grid(dim=1, n=16, L=4.0)
+    one_nan = np.ones(g.shape, dtype=np.complex128)
+    one_nan[3] = np.nan
+    for vals in (one_nan, np.full(g.shape, np.nan + 0j)):
+        res = gs_norm_ex(StateVector(g, vals), idx)
+        assert np.isnan(res.value) and np.isnan(res.log_value)
+    assert np.isnan(pigr_apply(StateVector(g, one_nan), idx).values[3])
+
+
+def test_infinite_entry_and_zero_state():
+    g = Grid(dim=1, n=16, L=4.0)
+    vals = np.ones(g.shape, dtype=np.complex128)
+    vals[3] = -np.inf
+    for idx in (GsIndices(), GsIndices(m2=1.0, rho2=0.5)):
+        res = gs_norm_ex(StateVector(g, vals), idx)
+        assert res.value == np.inf and res.log_value == np.inf and res.overflow
+    # the DFT of an infinite entry is undefined: through a frequency factor
+    # the norm is NaN, not a value it did not compute
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(gs_norm_ex(StateVector(g, vals), GsIndices(m1=1.0)).value)
+    zero = StateVector(g, np.zeros(g.shape, dtype=np.complex128))
+    for idx in (GsIndices(), GsIndices(m1=1.0, rho2=0.5), GsIndices(rho1=0.1), GsIndices(rho2=400.0)):
+        res = gs_norm_ex(zero, idx)
+        assert (res.value, res.log_value, res.overflow) == (0.0, -np.inf, idx.rho2 == 400.0)
+        # zeros stay zero where the weight itself overflows
+        assert np.array_equal(pigr_apply(zero, idx).values, zero.values)
 
 
 def test_box_sweep_frozen_values():

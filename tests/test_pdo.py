@@ -478,7 +478,7 @@ def test_conjugate_generator_correction_shrinks_gap():
     assert gap < 0.75 * shift
 
 
-def test_hermitian_min_eig():
+def test_hermitian_min_eig(monkeypatch):
     g = Grid(dim=1, n=32, L=4.0)
     assert abs(hermitian_min_eig(DenseOp(g, np.eye(32), "composite")) - 1.0) <= 1e-12
     v = np.linspace(-2.0, 5.0, 32)
@@ -487,8 +487,9 @@ def test_hermitian_min_eig():
     h = rng.standard_normal((32, 32))
     skew = DenseOp(g, 1j * (h + h.T), "composite")
     assert abs(hermitian_min_eig(skew)) <= 1e-12
+    monkeypatch.setattr(pdo, "_EIG_MAX_NODES", 16)
     with pytest.raises(ValueError):
-        hermitian_min_eig(DenseOp(g, np.eye(32), "composite"), max_nodes=16)
+        hermitian_min_eig(DenseOp(g, np.eye(32), "composite"))
 
 
 def test_hermitian_min_eig_leaves_its_input_and_matches_formula():

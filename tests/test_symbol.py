@@ -543,7 +543,7 @@ def test_gevrey_constant_insensitive_to_gate_threshold():
         def fn(nodes):
             return [lambda_sym(nodes[:, None], xis[:, None], params)]
 
-        (rep,) = gevrey_bound_check(fn, xs, [1.0 / params.s], theta=2.0)
+        (rep,) = gevrey_bound_check(fn, xs, [1.0 / params.s])
         return rep["C"]
 
     c1 = fitted(LambdaParams(M=1.0, h=1.0, s=1.8, sigma=0.5))
