@@ -342,16 +342,19 @@ def test_norm_sweep_bad_box_exits_2(tmp_path):
         (["energy", "--example", "1", "--conjugated", "--dt", "0"], "dt must be finite and positive"),
         (["norm-sweep", "--dx", "0"], "dx must be positive"),
         (["symbol-check", "--cap", "0"], "direction_cap must be at least 1"),
+        (["symbol-check", "--dim", "2", "--n", "8", "--L", "1", "--h", "100"], "no frequency node has |xi| >= 2h = 200.0"),
         (["energy", "--example", "1", "--conjugated", "--eig-stride", "-1"], "eig_stride must be >= 0"),
     ],
     ids=[
         "solve-dt0", "energy-dt0", "energy-conjugated-dt0", "norm-sweep-dx0", "symbol-check-cap0",
+        "symbol-check-closed-gate",
         "energy-conjugated-eig-stride-neg",
     ],
 )
 def test_degenerate_step_or_cap_exits_2(tmp_path, capsys, argv, needle):
-    # a zero step divides by zero; a zero cap checks no direction; a
-    # negative stride would pass with no eigenvalue sample
+    # a zero step divides by zero; a zero cap, or a lattice with no node
+    # at |xi| >= 2h, checks no direction; a negative stride would pass
+    # with no eigenvalue sample
     rc, report, _ = _run(tmp_path, *argv)
     assert rc == 2
     assert report == {}

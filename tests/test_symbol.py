@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from decaylab import symbol
-from decaylab.grid import Grid
+from decaylab.grid import Grid, _node_rows
 from decaylab.symbol import (
     _blend,
     _blend_slope,
@@ -457,6 +457,145 @@ def test_transport_margin_doubles_with_m():
     r1 = transport_sign_check(g, LambdaParams(M=1.0, h=2.0, s=1.8, sigma=0.5))
     r2 = transport_sign_check(g, LambdaParams(M=2.0, h=2.0, s=1.8, sigma=0.5))
     assert r2["rate_floor"] == pytest.approx(2.0 * r1["rate_floor"], rel=1e-12)
+
+
+def _full_lattice_check(grid, params, direction_cap=4096, seed=0):
+    # the transport check over every node, one value per node and
+    # direction: the reference the reflection-orbit check must match
+    j = _node_rows(grid)
+    xpts, k = grid.x[j], grid.k_int[j]
+    k = k[np.sqrt(np.sum(k * k, axis=-1)) * grid.dxi >= 2.0 * params.h]
+    dirs, _, _ = _primitive_directions(k)
+    total_dirs = dirs.shape[0]
+    capped = total_dirs > direction_cap
+    if capped:
+        rng = np.random.default_rng(seed)
+        dirs = dirs[rng.choice(total_dirs, size=direction_cap, replace=False)]
+    xnorm2 = np.sum(xpts * xpts, axis=-1)
+    bx = np.sqrt(1.0 + xnorm2)
+    rate_ref = params.M * (1.0 + xnorm2) ** (0.5 * (1.0 / params.s - 1.0))
+    floor = 4.0 * np.finfo(np.float64).eps * rate_ref
+    violations, worst_margin, rate_floor, worst, plateau_dev = 0, np.inf, np.inf, [], 0.0
+    for w in dirs:
+        y = xpts @ w
+        rho_sq = np.maximum(xnorm2 - y * y, 0.0)
+        der = symbol._blend_slope(y, rho_sq, bx, params)
+        excess = der + rate_ref
+        violations += int(np.count_nonzero(excess > floor))
+        m = float(np.min(-excess))
+        if m < worst_margin:
+            worst_margin = m
+            i = int(np.argmin(-excess))
+            worst.append({"x": xpts[i].tolist(), "omega": w.tolist(), "margin": m})
+        rate_floor = min(rate_floor, float(np.min(-der / rate_ref)) * params.M)
+        on_plateau = np.abs(y) <= 0.45 * bx
+        if np.any(on_plateau):
+            plateau_dev = max(plateau_dev, float(np.max(np.abs(excess[on_plateau]))))
+    worst.sort(key=lambda r: r["margin"])
+    return {
+        "pass": violations == 0,
+        "violations": violations,
+        "points_checked": int(xpts.shape[0] * dirs.shape[0]),
+        "directions_total": int(total_dirs),
+        "directions_checked": int(dirs.shape[0]),
+        "capped": bool(capped),
+        "worst_margin": worst_margin,
+        "rate_floor": rate_floor,
+        "plateau_deviation": plateau_dev,
+        "worst": worst[:5],
+    }
+
+
+@pytest.mark.parametrize(
+    "grid, params, cap, seed",
+    [
+        (Grid(dim=1, n=128, L=10.0), LambdaParams(M=1.0, h=2.0, s=1.8, sigma=0.5), 4096, 0),
+        (Grid(dim=2, n=32, L=5.0), LambdaParams(M=1.0, h=2.0, s=1.8, sigma=0.5), 4096, 0),
+        (Grid(dim=2, n=64, L=6.0), LambdaParams(M=1.0, h=1.0, s=1.8, sigma=0.5), 4096, 0),
+        (Grid(dim=2, n=128, L=10.0), LambdaParams(M=1.0, h=2.0, s=1.8, sigma=0.5), 16, 0),
+        (Grid(dim=2, n=128, L=10.0), LambdaParams(M=1.0, h=2.0, s=1.8, sigma=0.5), 16, 3),
+        # j dx is inexact at L = 3.7: 22 of 63 nodes per axis have no exact mirror
+        (Grid(dim=2, n=64, L=3.7), LambdaParams(M=1.0, h=1.0, s=1.8, sigma=0.5), 64, 1),
+    ],
+    ids=["1d-n128", "2d-n32", "2d-n64-L6-h1", "2d-n128-cap16-seed0", "2d-n128-cap16-seed3", "2d-n64-L3.7"],
+)
+def test_half_lattice_check_equals_full_lattice(grid, params, cap, seed):
+    # repr tells floats apart bit for bit, -0.0 from 0.0 included
+    got = transport_sign_check(grid, params, direction_cap=cap, seed=seed)
+    assert repr(got) == repr(_full_lattice_check(grid, params, cap, seed))
+
+
+def test_half_lattice_counts_violations_per_node(monkeypatch):
+    # a slope raised by an even bump fails at many nodes: each failing
+    # representative counts once per node of its orbit, and the worst
+    # points are the full lattice's
+    def raised(y, rho_sq, bx, params):
+        return _blend_slope(y, rho_sq, bx, params) + 1e-3 / (1.0 + y * y)
+
+    monkeypatch.setattr(symbol, "_blend_slope", raised)
+    g = Grid(dim=2, n=64, L=6.0)
+    p = LambdaParams(M=1.0, h=1.0, s=1.8, sigma=0.5)
+    got = transport_sign_check(g, p, direction_cap=32, seed=5)
+    assert got["violations"] > g.node_count and not got["pass"]
+    assert repr(got) == repr(_full_lattice_check(g, p, 32, 5))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n, L", [(8, 4.0), (16, 5.0), (16, 3.7)])
+def test_reflection_orbits_partition_the_lattice(d, n, L):
+    g = Grid(dim=d, n=n, L=L)
+    rep, mult = symbol._reflection_orbits(g)
+    idx = _node_rows(g)
+    X = g.x[idx]
+    assert np.all(np.diff(rep) > 0)
+    assert mult.sum() == g.node_count
+    seen = np.zeros(g.node_count, dtype=int)
+    for r, m in zip(rep, mult):
+        # the nodes whose coordinates are exactly -x: a pair when one exists
+        mates = np.flatnonzero(np.all(X == -X[r], axis=1))
+        if m == 2:
+            assert mates.size == 1 and mates[0] > r
+            seen[mates] += 1
+        else:
+            assert mates.size == 0 or mates.tolist() == [r]
+        seen[r] += 1
+    assert np.all(seen == 1)
+    # index 0 has no mirror in the box, and x = 0 is its own
+    assert np.all(mult[np.any(idx[rep] == 0, axis=1)] == 1)
+    origin = np.flatnonzero(np.all(X == 0.0, axis=1))
+    assert origin.size == 1 and origin[0] in rep
+    assert mult[np.searchsorted(rep, origin[0])] == 1
+    if L == 4.0:
+        # j dx is exact: every node off index 0 pairs, x = 0 with itself
+        assert np.count_nonzero(mult == 1) == n**d - (n - 1) ** d + 1
+
+
+def test_blend_slope_is_even_on_reflection_pairs():
+    # the check reads the slope at the lower node of each pair only: both
+    # nodes must give the same bits, on every class of the lattice
+    g = Grid(dim=2, n=64, L=6.0)
+    p = LambdaParams(M=1.0, h=1.0, s=1.8, sigma=0.5)
+    rep, mult = symbol._reflection_orbits(g)
+    j = _node_rows(g)
+    lower = rep[mult == 2]
+    upper = np.ravel_multi_index(tuple((-j[lower] % g.n).T), g.shape)
+    X, k = g.x[j], g.k_int[j]
+    dirs, _, _ = _primitive_directions(k[np.sqrt(np.sum(k * k, axis=-1)) * g.dxi >= 2.0 * p.h])
+    assert dirs.shape[0] > 1000
+    xnorm2 = np.sum(X * X, axis=-1)
+    bx = np.sqrt(1.0 + xnorm2)
+    for w in dirs:
+        y = X @ w
+        assert np.array_equal(y[upper], -y[lower])
+        der = _blend_slope(y, np.maximum(xnorm2 - y * y, 0.0), bx, p)
+        assert np.array_equal(der[upper].view(np.int64), der[lower].view(np.int64))
+
+
+def test_transport_refuses_a_closed_gate():
+    # no node at |xi| >= 2h: no direction to check, so no verdict to give
+    g = Grid(dim=2, n=8, L=1.0)
+    with pytest.raises(ValueError, match=r"2h = 200.0; the largest \|xi\| is 17.77"):
+        transport_sign_check(g, LambdaParams(M=1.0, h=100.0, s=1.8, sigma=0.5))
 
 
 def test_blend_slope_matches_central_difference():
