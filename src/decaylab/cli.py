@@ -233,7 +233,7 @@ def _cmd_verify_example(args, out: Path) -> dict:
     # where g (real exp) and u_exact (complex exp) differ by an ulp or two
     u0_tol = 1e-14 * max(1.0, float(np.max(np.abs(u0_exact))))
     res = residual_check(ep, grid, ts)
-    hyp = hypothesis_check(ep, L=min(args.L, 20.0), t_samples=tuple(ts))
+    hyp = hypothesis_check(ep.problem, L=min(args.L, 20.0), t_samples=tuple(ts))
     # candidate losses must bracket the elapsed time: the critical family
     # sheds decay at unit rate, so its infimal loss sits at the horizon
     upper = max(0.99, args.T + 0.2)

@@ -36,11 +36,11 @@ depend on x alone.  With p = 1 - sigma, q = 1/s and E = eps q x <x>^(q-2),
 
 since phi_x = tau A + E gives phi_x^2 - alpha phi_x = tau A E + E^2.  Each
 family keeps one slot: the node array it last sampled on, held so that no
-other array can take its id, and the parts built on it.  A call on the
-same array object, as every step of a run makes on grid.x_mesh, costs at
-most two vector operations.  A call on a new array replaces the slot and builds
-only what it needs: A for a, every part for b.  Each call returns a new
-array.
+other array can take its id, and the x-parts built on it.  phi, its
+derivatives, a, b and g all read the same parts, so a call on a new array
+replaces the slot with one build of every part, and a call on the same
+array object, as every step of a run makes on grid.x_mesh, costs at most
+two vector operations.  Each call returns a new array.
 """
 from __future__ import annotations
 
@@ -83,83 +83,63 @@ class ExactProblem:
         return np.exp(np.asarray(self.phi(t, x), dtype=np.complex128))
 
 
-def _bracket_pow(x: np.ndarray, p: float) -> np.ndarray:
-    return (1.0 + x * x) ** (0.5 * p)
-
-
 def _family(sigma: float, s: float, eps: float, T: float, label: str, rho2_data: float, *, t0: float = 0.0) -> ExactProblem:
     """Phase (t-t0)<x>^(1-sigma) + eps <x>^(1/s) and its induced coefficients."""
     q = 1.0 / s
+    # the one slot (module docstring): the node array last sampled on, so
+    # that no other array can take its id, and every part built on it
+    slot = [None]
 
-    def phi(t, x):
+    def parts(x) -> dict:
         x = np.asarray(x, dtype=np.float64)
-        return (t - t0) * _bracket_pow(x, 1.0 - sigma) + eps * _bracket_pow(x, q)
-
-    def phi_t(t, x):
-        x = np.asarray(x, dtype=np.float64)
-        return _bracket_pow(x, 1.0 - sigma)
-
-    def phi_x(t, x):
-        x = np.asarray(x, dtype=np.float64)
-        # d/dx <x>^p = p x <x>^(p-2)
-        return (t - t0) * (1.0 - sigma) * x * _bracket_pow(x, -sigma - 1.0) + eps * q * x * _bracket_pow(x, q - 2.0)
-
-    def phi_xx(t, x):
-        x = np.asarray(x, dtype=np.float64)
-        # d2/dx2 <x>^p = p <x>^(p-2) + p (p-2) x^2 <x>^(p-4)
-        grow = (t - t0) * (1.0 - sigma) * (
-            _bracket_pow(x, -sigma - 1.0) + (-sigma - 1.0) * x * x * _bracket_pow(x, -sigma - 3.0)
-        )
-        decay = eps * q * (_bracket_pow(x, q - 2.0) + (q - 2.0) * x * x * _bracket_pow(x, q - 4.0))
-        return grow + decay
-
-    # the per-grid parts of a and b (module docstring): one slot holds the
-    # node array last sampled on, so that no other array can take its id,
-    # and the parts built on it so far
-    slot = [(None, {})]
-
-    def parts(x: np.ndarray) -> dict:
-        key, got = slot[0]
-        if key is not x:
-            # a new dict, never a cleared one: a library caller's thread still
-            # holding the old one keeps the parts of its own array
-            got = {}
-            slot[0] = (x, got)
-        return got
-
-    def a1(t, x):
-        # a = i tau A with A = (1-sigma) xg; a miss builds xg alone
-        x = np.asarray(x, dtype=np.float64)
-        got = parts(x)
-        xg = got.get("a")
-        if xg is None:
-            xg = got["a"] = x * (1.0 + x * x) ** (-0.5 * (sigma + 1.0))
-        return xg * (1j * (t - t0) * (1.0 - sigma))
-
-    def b(t, x):
-        # b = i tau C1 - nb0 with nb0 = -B0 - i C0
-        x = np.asarray(x, dtype=np.float64)
-        got = parts(x)
-        if "b" not in got:
+        got = slot[0]
+        if got is None or got["x"] is not x:
             # one power per part: x^2 <x>^(p-2) = w <x>^p, w = x^2 / (1+x^2)
             x2 = x * x
             r2 = 1.0 + x2
             w = x2 / r2
             grow = r2 ** (-0.5 * (sigma + 1.0))
-            nb0 = r2 * grow
-            c1 = 1.0 + (-sigma - 1.0) * w
+            ed = (eps * q) * r2 ** (0.5 * (q - 2.0))
+            e = x * ed
+            pg = (1.0 - sigma) * grow
+            k = 1.0 + (-sigma - 1.0) * w
+            xxg, xxd = k * pg, ed * (1.0 + (q - 2.0) * w)
+            c1, nb0 = xxg, r2 * grow
             if eps != 0.0:
-                ed = (eps * q) * r2 ** (0.5 * (q - 2.0))
-                e = x * ed
-                c1 += x * e
-                c0 = ed * (1.0 + (q - 2.0) * w)
-                c0 += e * e
-                nb0 = nb0 - 1j * c0
-            c1 *= (1.0 - sigma) * grow
-            got["b"] = (c1, nb0)
-        c1, nb0 = got["b"]
-        out = c1 * (1j * (t - t0))
-        out -= nb0
+                c1 = (k + x * e) * pg
+                nb0 = nb0 - 1j * (xxd + e * e)
+            # a new dict, never an updated one: a library caller's thread
+            # still holding the old one keeps the parts of its own array
+            got = slot[0] = {
+                "x": x, "G": r2 ** (0.5 * (1.0 - sigma)), "D": eps * r2 ** (0.5 * q),
+                "xg": x * grow, "E": e, "xxg": xxg, "xxd": xxd, "c1": c1, "nb0": nb0,
+            }
+        return got
+
+    def phi(t, x):
+        got = parts(x)
+        return (t - t0) * got["G"] + got["D"]
+
+    def phi_t(t, x):
+        return parts(x)["G"].copy()
+
+    def phi_x(t, x):
+        got = parts(x)
+        return (t - t0) * (1.0 - sigma) * got["xg"] + got["E"]
+
+    def phi_xx(t, x):
+        got = parts(x)
+        return (t - t0) * got["xxg"] + got["xxd"]
+
+    def a1(t, x):
+        # a = i tau A with A = (1-sigma) xg
+        return parts(x)["xg"] * (1j * (t - t0) * (1.0 - sigma))
+
+    def b(t, x):
+        # b = i tau C1 - nb0 with nb0 = -B0 - i C0
+        got = parts(x)
+        out = got["c1"] * (1j * (t - t0))
+        out -= got["nb0"]
         return out
 
     def g(x):
@@ -234,21 +214,26 @@ def residual_check(ep: ExactProblem, grid, t_samples) -> dict:
     return {"max_residual": worst, "per_t": per_t, "nodes": grid.n}
 
 
-def hypothesis_check(ep: ExactProblem, *, L: float = 20.0, t_samples=(0.0, 0.25, 0.5)) -> dict:
+def hypothesis_check(problem: Problem, *, L: float = 20.0, t_samples=(0.0, 0.25, 0.5)) -> dict:
     """Validate the coefficient growth hypotheses on a sample box.
 
     Fits the constants in |d^beta Im a| <= C^(|beta|+1) (beta!)^2
     <x>^(-sigma-|beta|) and the same for Re b and Im b at base order
     1 - sigma, for |beta| <= 2 at 257 points and over the sampled times,
-    and asserts Re a vanishes identically."""
-    sigma = ep.problem.sigma
+    and asserts Re a vanishes identically.  The problem must be
+    one-dimensional with both coefficients given."""
+    if problem.dim != 1:
+        raise ValueError("the growth hypotheses are checked in one dimension")
+    if problem.a[0] is None or problem.b is None:
+        raise ValueError("the growth hypotheses need both coefficients a and b")
+    sigma = problem.sigma
     re_a = []
 
     def samples(nodes):
         # every t on one node array before the next: the family builds its
         # parts once per array
-        a = np.array([ep.problem.a[0](float(t), nodes) for t in t_samples])
-        b = np.array([ep.problem.b(float(t), nodes) for t in t_samples])
+        a = np.array([problem.a[0](float(t), nodes) for t in t_samples])
+        b = np.array([problem.b(float(t), nodes) for t in t_samples])
         re_a.append(float(np.max(np.abs(np.real(a)))))
         return [np.imag(a), np.real(b), np.imag(b)]
 

@@ -60,8 +60,9 @@ class NormResult:
     """Extended-range norm value.
 
     value is exp(log_value) when representable, inf otherwise; overflow
-    records whether any weight, weighted entry or the value itself left the
-    double range.
+    is value == inf: whether the norm itself left the double range.  A
+    weight past the range does not set it on its own, so a zero state reads
+    norm 0 without overflow at any weight.
     """
 
     value: float
@@ -85,10 +86,10 @@ def _freq_bracket(grid: Grid) -> np.ndarray:
     return np.sqrt(1.0 + grid.xi_norm**2)
 
 
-def _pigr_scaled(u: StateVector, idx: GsIndices) -> tuple[np.ndarray, float, np.ndarray, bool]:
+def _pigr_scaled(u: StateVector, idx: GsIndices) -> tuple[np.ndarray, float, np.ndarray]:
     """Apply the factors rightmost-first, up to the last frequency factor.
 
-    Returns (values, log_scale, logw, overflow): W u = values *
+    Returns (values, log_scale, logw): W u = values *
     exp(log_scale + logw), logw the log of the spatial factors left of the
     last frequency factor.  Each exp factor applied to the values is divided
     by its maximum, whose log moves into log_scale.
@@ -108,7 +109,7 @@ def _pigr_scaled(u: StateVector, idx: GsIndices) -> tuple[np.ndarray, float, np.
         tops.append(float(log_rho2.max()))
         work = work * np.exp(log_rho2 - tops[-1])
         work = apply_multiplier(StateVector(g, work), _freq_bracket(g) ** idx.m1).values
-    return work, sum(tops, 0.0), logw, any(top > _DOUBLE_MAX_LOG for top in tops)
+    return work, sum(tops, 0.0), logw
 
 
 def pigr_apply(u: StateVector, idx: GsIndices) -> StateVector:
@@ -120,7 +121,7 @@ def pigr_apply(u: StateVector, idx: GsIndices) -> StateVector:
     """
     if u.space != "x":
         raise ValueError("pigr_apply expects a spatial state")
-    vals, log_scale, logw, _ = _pigr_scaled(u, idx)
+    vals, log_scale, logw = _pigr_scaled(u, idx)
     with np.errstate(over="ignore", invalid="ignore"):
         vals = np.where(vals == 0.0, 0.0, vals * np.exp(log_scale + logw))
     return StateVector(u.grid, vals)
@@ -144,16 +145,14 @@ def gs_norm_ex(u: StateVector, idx: GsIndices) -> NormResult:
     if u.space != "x":
         raise ValueError("gs_norm_ex expects a spatial state")
     g = u.grid
-    vals, log_scale, logw, overflow = _pigr_scaled(u, idx)
+    vals, log_scale, logw = _pigr_scaled(u, idx)
     mag = np.abs(vals)
     logmag = np.full(mag.shape, -np.inf)
     np.log(mag, out=logmag, where=mag != 0.0)  # NaN and inf pass through
-    overflow = overflow or bool(np.max(logw + np.where(mag > 0, logmag, 0.0)) > _DOUBLE_MAX_LOG)
     logterms = 2.0 * (logw + logmag)
     log_value = log_scale + 0.5 * (_logsumexp(logterms.ravel()) + g.dim * np.log(g.dx))
     value = np.inf if log_value > _DOUBLE_MAX_LOG else float(np.exp(log_value))
-    overflow = overflow or value == np.inf
-    return NormResult(value=value, log_value=float(log_value), overflow=bool(overflow))
+    return NormResult(value=value, log_value=float(log_value), overflow=value == np.inf)
 
 
 def norm_box_sweep(states: Sequence[StateVector], idx: GsIndices) -> list[SweepRow]:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import symbol
 from .grid import Grid, _edge_phase, _node_rows
 
 __all__ = [
@@ -315,16 +316,13 @@ def conjugation_remainder_check(hs, *, n: int, L: float, M: float, s: float, sig
     should decrease; the empirical threshold h0 is the smallest h in the
     sweep with norm < 1.
     """
-    # call-time import: bench/tracing.py patches symbol.lambda_on_grid and pins its calls
-    from .symbol import LambdaParams, lambda_on_grid
-
     g = Grid(dim=1, n=n, L=L)
     _check_size(g)
     rows = []
     h0 = None
     for h in hs:
-        params = LambdaParams(M=M, h=float(h), s=s, sigma=sigma)
-        nrm = WeightPair(g, lambda_on_grid(g, params)).remainder_norm()
+        params = symbol.LambdaParams(M=M, h=float(h), s=s, sigma=sigma)
+        nrm = WeightPair(g, symbol.lambda_on_grid(g, params)).remainder_norm()
         rows.append({"h": float(h), "norm_r1": nrm, "n": n})
         if h0 is None and nrm < 1.0:
             h0 = float(h)

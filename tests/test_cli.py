@@ -1,11 +1,16 @@
 """CLI subcommands through main(argv): exit codes, artifacts, determinism."""
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from decaylab.cauchy import solve_conjugated
+import decaylab
 from decaylab import cli
 from decaylab.cli import emit_plot, main
 from decaylab.examples import example1
@@ -476,6 +481,26 @@ def test_emit_plot_writes_identical_bytes(tmp_path):
     emit_plot(tmp_path / "p1.svg", series, title="t", xlabel="x", ylabel="y")
     emit_plot(tmp_path / "p2.svg", series, title="t", xlabel="x", ylabel="y")
     assert (tmp_path / "p1.svg").read_bytes() == (tmp_path / "p2.svg").read_bytes()
+
+
+def test_plot_text_is_escaped():
+    series = {"a<b": [(0.0, 1.0), (1.0, 3.0)]}
+    svg = line_plot_svg(series, title="x & y > 0", xlabel="<x>", ylabel="y")
+    texts = {e.text for e in ET.fromstring(svg).iter() if e.tag.endswith("text")}
+    assert {"a<b", "x & y > 0", "<x>"} <= texts
+
+
+def test_cli_import_loads_no_network_stack():
+    # a fresh interpreter: svgplot's escaping once pulled in xml.sax, and with
+    # it urllib, http, email and ssl, on every import of the CLI
+    code = (
+        "import sys, decaylab.cli; "
+        "print([m for m in ('xml.sax', 'urllib.request', 'http.client', 'email', 'ssl') if m in sys.modules])"
+    )
+    src = str(Path(decaylab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("flags", [("--L", "40"), ("--s", "1.9")], ids=["L40", "s1.9"])

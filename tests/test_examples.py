@@ -11,12 +11,31 @@ from decaylab.grid import Grid, sample
 
 
 def _direct_coefficients(sigma, s, eps, t0=0.0):
-    """a and b of the family by the direct formulas, each call from scratch:
-    the reference the per-grid parts are checked against."""
+    """phi, its derivatives, a and b of the family by the direct formulas,
+    each call from scratch: the reference the per-grid parts are checked
+    against."""
     q = 1.0 / s
 
     def bp(x, p):
         return (1.0 + x * x) ** (0.5 * p)
+
+    def phi(t, x):
+        x = np.asarray(x, dtype=np.float64)
+        return (t - t0) * bp(x, 1.0 - sigma) + eps * bp(x, q)
+
+    def phi_t(t, x):
+        return bp(np.asarray(x, dtype=np.float64), 1.0 - sigma)
+
+    def phi_x(t, x):
+        x = np.asarray(x, dtype=np.float64)
+        # d/dx <x>^p = p x <x>^(p-2)
+        return (t - t0) * (1.0 - sigma) * x * bp(x, -sigma - 1.0) + eps * q * x * bp(x, q - 2.0)
+
+    def phi_xx(t, x):
+        x = np.asarray(x, dtype=np.float64)
+        # d2/dx2 <x>^p = p <x>^(p-2) + p (p-2) x^2 <x>^(p-4)
+        grow = (t - t0) * (1.0 - sigma) * (bp(x, -sigma - 1.0) + (-sigma - 1.0) * x * x * bp(x, -sigma - 3.0))
+        return grow + eps * q * (bp(x, q - 2.0) + (q - 2.0) * x * x * bp(x, q - 4.0))
 
     def a1(t, x):
         x = np.asarray(x, dtype=np.float64)
@@ -35,7 +54,7 @@ def _direct_coefficients(sigma, s, eps, t0=0.0):
             c = c + eps * q * decay * (1.0 + (q - 2.0) * x2 / r2) + px * px - al * px
         return -r2 * grow + 1j * c
 
-    return a1, b
+    return {"phi": phi, "phi_t": phi_t, "phi_x": phi_x, "phi_xx": phi_xx, "a": a1, "b": b}
 
 
 # (member, its (sigma, s, eps, t0)): examples 1-3 and the sharpness upper family
@@ -163,7 +182,7 @@ def test_class_membership_metadata():
 
 def test_coefficient_growth_hypotheses():
     for ep in (example1(0.5, 1.8), example2(0.5), example3(0.5, 1.8)):
-        rep = hypothesis_check(ep)
+        rep = hypothesis_check(ep.problem)
         assert rep["pass"]
         assert rep["re_a_zero"]
         assert np.isfinite(rep["C_max"])
@@ -172,29 +191,51 @@ def test_coefficient_growth_hypotheses():
 
 @pytest.mark.parametrize("make, params", MEMBERS)
 def test_coefficient_parts_match_direct_formulas(make, params):
+    # a, b, phi and phi_t keep the direct formulas' expressions; phi_x and
+    # phi_xx add the same parts in another order, to 2e-15 of their size
     ep = make()
     t0 = params[3]
     grid = Grid(dim=1, n=512, L=40.0)
-    for fn, ref in zip((ep.problem.a[0], ep.problem.b), _direct_coefficients(*params)):
+    direct = _direct_coefficients(*params)
+    closures = {"a": ep.problem.a[0], "b": ep.problem.b}
+    closures.update((name, getattr(ep, name)) for name in ("phi", "phi_t", "phi_x", "phi_xx"))
+    for name, fn in closures.items():
+        rel = 2e-15 if name in ("phi_x", "phi_xx") else 1e-14
         for t in sorted({t0, 0.0, 0.1, 0.25, 0.5, 1.0}):
             for x in (grid.x, np.linspace(-25.0, 25.0, 257)):
-                got, want = fn(t, x), ref(t, x)
+                got, want = fn(t, x), direct[name](t, x)
                 for part in (np.real, np.imag):
                     # relative to the part's size; a part that vanishes
                     # (Re a, Im b at t = t0 for example 2) must vanish exactly
                     scale = float(np.max(np.abs(part(want))))
-                    assert np.max(np.abs(part(got) - part(want))) <= 1e-14 * scale
+                    assert np.max(np.abs(part(got) - part(want))) <= rel * scale, (name, t)
+    closures["g"] = lambda t, x: ep.problem.g(x)
+    for name, fn in closures.items():
         # a hit on grid.x (its second call) equals a miss on an equal-valued
         # copy to the bit
         fn(0.25, grid.x)
         hit = fn(0.25, grid.x)
         miss = fn(0.25, grid.x.copy())
-        assert hit.tobytes() == miss.tobytes()
+        assert hit.tobytes() == miss.tobytes(), name
         # every call returns its own array
         first = fn(0.25, grid.x)
         keep = first.copy()
         first[:] = 7.0
-        assert fn(0.25, grid.x).tobytes() == keep.tobytes()
+        assert fn(0.25, grid.x).tobytes() == keep.tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        pytest.param(lambda p: {"dim": 2, "a": p.a * 2}, id="two-dimensional"),
+        pytest.param(lambda p: {"a": (None,)}, id="no-a"),
+        pytest.param(lambda p: {"b": None}, id="no-b"),
+    ],
+)
+def test_hypothesis_check_refuses_what_it_cannot_read(change):
+    prob = example1(0.5, 1.8).problem
+    with pytest.raises(ValueError):
+        hypothesis_check(dataclasses.replace(prob, **change(prob)))
 
 
 def test_hypothesis_check_on_fresh_arrays_matches_direct_formulas():
@@ -211,13 +252,9 @@ def test_hypothesis_check_on_fresh_arrays_matches_direct_formulas():
         return wrapped
 
     ep = example1(0.5, 1.8)
-    ref_a, ref_b = _direct_coefficients(0.5, 1.8, -1.0)
-    ref = dataclasses.replace(
-        ep, problem=dataclasses.replace(ep.problem, a=(counted("ref a", ref_a),), b=counted("ref b", ref_b))
-    )
-    new = dataclasses.replace(
-        ep, problem=dataclasses.replace(ep.problem, a=(counted("a", ep.problem.a[0]),), b=counted("b", ep.problem.b))
-    )
+    direct = _direct_coefficients(0.5, 1.8, -1.0)
+    ref = dataclasses.replace(ep.problem, a=(counted("ref a", direct["a"]),), b=counted("ref b", direct["b"]))
+    new = dataclasses.replace(ep.problem, a=(counted("a", ep.problem.a[0]),), b=counted("b", ep.problem.b))
     got, want = hypothesis_check(new), hypothesis_check(ref)
     # three times on each of three node arrays; a serves Im a and Re a, b serves Re b and Im b
     assert calls == {"a": 9, "b": 9, "ref a": 9, "ref b": 9}
@@ -245,12 +282,12 @@ def test_hypothesis_check_builds_parts_once_per_node_array(make):
         return wrapped
 
     prob = dataclasses.replace(ep.problem, a=(recorded(ep.problem.a[0]),), b=recorded(ep.problem.b))
-    rep = hypothesis_check(dataclasses.replace(ep, problem=prob))
+    rep = hypothesis_check(prob)
     builds = sum(1 for i, x in enumerate(seen) if i == 0 or x is not seen[i - 1])
     assert len(seen) == 18
     assert len({id(x) for x in seen}) == 3
     assert builds == 3
-    assert rep == hypothesis_check(make())
+    assert rep == hypothesis_check(make().problem)
 
 
 def _nan_at_node(fn, *, t_nan, shifted):
@@ -278,7 +315,7 @@ def test_hypothesis_check_fails_on_one_nan_sample(slot, t_nan, shifted):
         prob = dataclasses.replace(prob, b=_nan_at_node(prob.b, t_nan=t_nan, shifted=shifted))
     else:
         prob = dataclasses.replace(prob, a=(_nan_at_node(prob.a[0], t_nan=t_nan, shifted=shifted),))
-    rep = hypothesis_check(dataclasses.replace(ep, problem=prob))
+    rep = hypothesis_check(prob)
     assert rep["pass"] is False
     assert np.isnan(rep["C_max"])
     assert np.isnan(rep["re_a_max"]) == (slot == "a")
@@ -289,9 +326,9 @@ def test_coefficient_slot_is_safe_across_threads():
     # may; with the slot switching between two arrays under a short switch
     # interval, every call must still return its own array's values
     ep = example1(0.5, 1.8)
-    ref_a, ref_b = _direct_coefficients(0.5, 1.8, -1.0)
+    direct = _direct_coefficients(0.5, 1.8, -1.0)
     xs = (Grid(dim=1, n=256, L=20.0).x, np.linspace(-30.0, 30.0, 256))
-    wants = [[ref(0.3, x) for ref in (ref_a, ref_b)] for x in xs]
+    wants = [[direct[name](0.3, x) for name in ("a", "b")] for x in xs]
     bad = []
 
     def worker(k):

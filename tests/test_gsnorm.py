@@ -159,7 +159,7 @@ def test_infinite_entry_and_zero_state():
     zero = StateVector(g, np.zeros(g.shape, dtype=np.complex128))
     for idx in (GsIndices(), GsIndices(m1=1.0, rho2=0.5), GsIndices(rho1=0.1), GsIndices(rho2=400.0)):
         res = gs_norm_ex(zero, idx)
-        assert (res.value, res.log_value, res.overflow) == (0.0, -np.inf, idx.rho2 == 400.0)
+        assert (res.value, res.log_value, res.overflow) == (0.0, -np.inf, False)
         # zeros stay zero where the weight itself overflows
         assert np.array_equal(pigr_apply(zero, idx).values, zero.values)
 
