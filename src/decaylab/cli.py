@@ -101,6 +101,15 @@ def _parse_floats(text: str) -> list[float]:
     return vals
 
 
+def _parse_sweep(text: str, flag: str) -> list[float]:
+    """The values of a sweep flag, refused before any work when fewer than
+    two: a one-point sweep has no trend to report or plot."""
+    vals = _parse_floats(text)
+    if len(vals) < 2:
+        raise _CliError(f"{flag} needs at least two values, got {text!r}")
+    return vals
+
+
 def _parse_indices(text: str) -> list[GsIndices]:
     out = []
     for part in text.split(";"):
@@ -298,30 +307,31 @@ def _cmd_symbol_check(args, out: Path) -> dict:
 
 
 def _cmd_conjugation_check(args, out: Path) -> dict:
-    hs = _parse_floats(args.h)
+    hs = _parse_sweep(args.h, "--h")
     sweep = conjugation_remainder_check(hs, n=args.n, L=args.L, M=args.M, s=args.s, sigma=args.sigma)
     sched = _schedule(args.M, args.N, args.T, args.k0)
     ep = example1(args.sigma, args.s, T=args.T)
     grid = Grid(dim=1, n=args.n, L=args.L)
 
-    def min_eig_for(h: float) -> float:
+    def min_eig_for(h: float) -> tuple[float, float]:
+        """(min-eig of G_v at t, the cond(E0) the generator checked)."""
         params = LambdaParams(M=args.M, h=h, s=args.s, sigma=args.sigma)
         pair = WeightPair(grid, lambda_on_grid(grid, params))
         gen = ConjugatedGenerator(ep.problem, pair, params, sched, cond_cap=1e14)
-        return gen.min_eig(gen.dense(args.t))
+        return gen.min_eig(gen.dense(args.t)), gen.cond_e0
 
-    rows = [[r["h"], r["norm_r1"], min_eig_for(r["h"]), r["n"]] for r in sweep["rows"]]
+    rows = [[r["h"], r["norm_r1"], *min_eig_for(r["h"]), r["n"]] for r in sweep["rows"]]
     norms = [r["norm_r1"] for r in sweep["rows"]]
     monotone = all(b < a for a, b in zip(norms, norms[1:]))
     report = {
         "rows": [
-            {"h": r[0], "norm_r1": r[1], "min_eig": r[2], "n": r[3]} for r in rows
+            {"h": r[0], "norm_r1": r[1], "min_eig": r[2], "cond_e0": r[3], "n": r[4]} for r in rows
         ],
         "h0": sweep["h0"],
         "monotone_decreasing": monotone,
         "pass": monotone and sweep["h0"] is not None,
     }
-    _write_csv(out / "conjugation_sweep.csv", ["h", "norm_r1", "min_eig", "n"], rows)
+    _write_csv(out / "conjugation_sweep.csv", ["h", "norm_r1", "min_eig", "cond_e0", "n"], rows)
     emit_plot(
         out / "conjugation_sweep.svg",
         {"norm_r1": [(r[0], r[1]) for r in rows]},
@@ -375,7 +385,7 @@ def _cmd_energy(args, out: Path) -> dict:
 
 
 def _cmd_sharpness(args, out: Path) -> dict:
-    deltas = _parse_floats(args.deltas)
+    deltas = _parse_sweep(args.deltas, "--deltas")
     below = example1(args.sigma, args.s_below, T=max(args.t, 1e-6))
 
     above = _family(args.sigma, args.s_above, -1.0, max(args.t, 1e-6), "sharpness-upper", 1.0)

@@ -102,7 +102,8 @@ def _pigr_scaled(u: StateVector, idx: GsIndices) -> tuple[np.ndarray, float, np.
     if idx.rho1 != 0.0:
         logf = idx.rho1 * _freq_bracket(g) ** (1.0 / idx.theta)
         tops.append(float(logf.max()))
-        work = apply_multiplier(StateVector(g, work), np.exp(logf - tops[-1])).values
+        # u itself, not a fresh wrap: index sets on one state share its spectrum
+        work = apply_multiplier(u, np.exp(logf - tops[-1])).values
     if idx.m1 == 0.0:
         logw = logw + log_rho2
     else:

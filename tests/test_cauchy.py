@@ -365,6 +365,60 @@ def test_preconditioned_step_cost(monkeypatch):
     assert counts["mult"] == counts["coeff"] == 2 * (len(per_apply) + 1)
 
 
+def _fft_counts(monkeypatch):
+    counts = {"fftn": 0, "ifftn": 0}
+    for name in counts:
+        fn = getattr(np.fft, name)
+
+        def counted(a, *args, fn=fn, name=name, **kwargs):
+            counts[name] += 1
+            return fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return counts
+
+
+def _two_dim_generator():
+    g = Grid(dim=2, n=32, L=6.0)
+    prob = Problem(
+        dim=2, sigma=0.5, s0=2.0,
+        a=(lambda t, x1, x2: 0.8j * np.tanh(x1), lambda t, x1, x2: -0.5j + 0.1 * t * x2),
+        b=lambda t, x1, x2: 0.3 + 0.1j * (x1**2 - x2), f=None,
+        g=lambda x1, x2: np.exp(-(x1**2 + x2**2)), T=0.1,
+    )
+    return _GeneratorPieces(prob, g)
+
+
+@pytest.mark.parametrize(
+    "make, forward, inverse",
+    [(lambda: _plain_generator(), 1, 2), (_two_dim_generator, 1, 3), (lambda: _conjugated_generator(), 2, 3)],
+    ids=["1d", "2d", "conjugated"],
+)
+def test_preconditioned_apply_takes_one_forward_fft_per_state(monkeypatch, make, forward, inverse):
+    # every multiplier applied to a state reads that state's one spectrum:
+    # one forward FFT per state and one inverse per multiplier, with bits
+    # equal to the per-multiplier sandwich ifftn(m * fftn(y))
+    gen = make()
+    g = gen.grid
+    rng = np.random.default_rng(7)
+    y = (rng.normal(size=g.node_count) + 1j * rng.normal(size=g.node_count)) * np.exp(-g.x_norm.ravel() ** 2 / 8.0)
+    counts = _fft_counts(monkeypatch)
+    got = gen.preconditioned_apply(0.05, 0.0125, y)
+    assert (counts["fftn"], counts["ifftn"]) == (forward, inverse)
+    if isinstance(gen, _GeneratorPieces):
+        st = StateVector(g, y.reshape(g.shape))
+        counts.update(fftn=0, ifftn=0)
+        gen.apply(0.05, st)
+        assert (counts["fftn"], counts["ifftn"]) == (1, 1 + g.dim)
+
+    def sandwich(u, m):
+        return StateVector(u.grid, np.fft.ifftn(m * np.fft.fftn(u.values)))
+
+    monkeypatch.setattr(cauchy, "apply_multiplier", sandwich)
+    want = gen.preconditioned_apply(0.05, 0.0125, y)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 @pytest.mark.parametrize(
     "ep, bound",
     [(example1(0.5, 1.8, T=0.1), 3.0), (example2(0.5, T=0.1), 3.25)],

@@ -15,8 +15,9 @@ from decaylab import cli
 from decaylab.cli import emit_plot, main
 from decaylab.examples import example1
 from decaylab.grid import Grid, StateVector
+from decaylab.pdo import WeightPair
 from decaylab.svgplot import line_plot_svg
-from decaylab.symbol import ConjugationSchedule, LambdaParams
+from decaylab.symbol import ConjugationSchedule, LambdaParams, lambda_on_grid
 
 FAST_SOLVE = [
     "--n", "128", "--L", "15", "--dt", "0.025", "--T", "0.1", "--tol", "0.01",
@@ -218,6 +219,42 @@ def test_conjugation_check_matches_conjugated_solve(tmp_path):
         assert row["norm_r1"] == res.report["remainder_norm"]
         assert res.eig_samples[-1]["t"] == 0.5
         assert row["min_eig"] == res.eig_samples[-1]["min_eig"]
+
+
+def test_conjugation_check_reports_cond_e0(tmp_path):
+    # each row carries the exact cond(E0) of its h's weight pair, in the
+    # report and as a column of the sweep table
+    rc, report, out = _run(tmp_path, "conjugation-check", "--n", "64", "--h", "3,6")
+    assert rc == 0
+    grid = Grid(dim=1, n=64, L=0.5)
+    for row in report["rows"]:
+        params = LambdaParams(M=1.0, h=row["h"], s=1.8, sigma=0.5)
+        assert row["cond_e0"] == WeightPair(grid, lambda_on_grid(grid, params)).cond()
+    lines = (out / "conjugation_sweep.csv").read_text().splitlines()
+    assert lines[0] == "h,norm_r1,min_eig,cond_e0,n"
+    assert [float(line.split(",")[3]) for line in lines[1:]] == [r["cond_e0"] for r in report["rows"]]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, work",
+    [
+        (("conjugation-check", "--n", "64", "--h", "5"), "--h", "conjugation_remainder_check"),
+        (("sharpness", "--deltas", "0.5"), "--deltas", "estimate_loss_delta"),
+    ],
+    ids=["conjugation-check", "sharpness"],
+)
+def test_one_value_sweep_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, flag, work):
+    # a one-point sweep has no trend to plot: it is invalid input, refused
+    # before the sweep runs rather than after it
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(cli, work, no_work)
+    rc, report, _ = _run(tmp_path, *argv)
+    assert rc == 2
+    assert report == {}
+    err = json.loads(capsys.readouterr().out)
+    assert flag in err["error"] and "at least two values" in err["error"]
 
 
 def test_conjugation_check_ignores_seed(tmp_path):

@@ -146,6 +146,19 @@ def test_multiplier_identity():
     assert np.max(np.abs(v.values - u.values)) <= 1e-13
 
 
+def test_spectrum_is_shared_and_read_only():
+    # every transform of one state reads its one spectrum, which is the
+    # plain fftn of the values and cannot be written into
+    g = Grid(dim=2, n=16, L=4.0)
+    rng = np.random.default_rng(5)
+    u = StateVector(g, rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape))
+    assert u.spectrum is u.spectrum
+    assert np.array_equal(u.spectrum, np.fft.fftn(u.values))
+    assert np.array_equal(forward_dft(u).values, np.fft.fftn(u.values) * _edge_phase(g) * g.dx**2)
+    with pytest.raises(ValueError):
+        u.spectrum[0, 0] = 0.0
+
+
 def test_same_layout():
     a = Grid(dim=1, n=64, L=5.0)
     b = Grid(dim=1, n=128, L=10.0)  # same dx

@@ -75,6 +75,18 @@ def test_weight_rho1_matches_manual_fft():
     assert gs_norm_ex(u, idx).value == pytest.approx(ref, rel=1e-11)
 
 
+def test_index_sets_on_one_state_share_one_transform(monkeypatch):
+    # the first frequency factor of every index set reads the state's one
+    # spectrum: two rho1 != 0 sets make one forward FFT between them
+    u = gaussian_state(n=128, L=10.0)
+    calls = []
+    fftn = np.fft.fftn
+    monkeypatch.setattr(np.fft, "fftn", lambda a: calls.append(1) or fftn(a))
+    gs_norm_ex(u, GsIndices(rho1=0.1, theta=2.0))
+    gs_norm_ex(u, GsIndices(rho1=0.2, m2=1.0, theta=1.5))
+    assert len(calls) == 1
+
+
 def test_factor_order_m2_before_rho2_applied_right_first():
     # Pi u = <x>^{m2} exp(rho2 <x>^{1/s}) u pointwise when no frequency factors act,
     # so the order is observable only through the combined pointwise weight
