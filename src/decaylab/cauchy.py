@@ -49,7 +49,7 @@ import numpy as np
 
 from .grid import Grid, StateVector, _derivative_multiplier, apply_multiplier, sample
 from .gsnorm import GsIndices, gs_norm_ex
-from .pdo import DenseOp, WeightPair, _check_size, _circulant_view, hermitian_min_eig
+from .pdo import DenseOp, WeightPair, _check_eig_size, _check_size, _circulant_view, hermitian_min_eig
 # unused; bench/tracing.py patches them here until its span list drops them (ROADMAP item 1)
 from .pdo import assemble_dense, inverse, power_iteration_norm  # noqa: F401
 from .symbol import ConjugationSchedule, LambdaParams, lambda_on_grid
@@ -60,6 +60,7 @@ __all__ = [
     "SolveResult",
     "ConjugatedResult",
     "ConjugatedGenerator",
+    "conjugated_min_eig",
     "solve",
     "solve_conjugated",
     "gronwall_check",
@@ -143,8 +144,9 @@ def _edge_fraction(values: np.ndarray) -> float:
     return edge / amax
 
 
-# matrix rows per slab of _GeneratorPieces.dense's a-term products, so each
-# temporary is _DENSE_ROWS x n^d, not n^d x n^d
+# matrix rows per slab of _GeneratorPieces.dense's a-term products and of
+# ConjugatedGenerator.dense's similarity factor, so each temporary is
+# _DENSE_ROWS x n^d, not n^d x n^d
 _DENSE_ROWS = 128
 
 
@@ -547,7 +549,8 @@ class ConjugatedGenerator:
     """G_v(t) of the weighted unknown v = E(t) u (module docstring) for one
     weight pair and schedule, with w = <x>_h^(1-sigma).  E0 acts through the
     pair's factors; its 2-norm condition number cond_e0 must pass the
-    conditioning cap."""
+    conditioning cap.  The pair's Woodbury factor is built here, before
+    any dense sample is."""
 
     def __init__(self, problem: Problem, pair: WeightPair, params: LambdaParams, schedule: ConjugationSchedule, *, cond_cap: float = 1e12):
         self.pieces = _GeneratorPieces(problem, pair.grid)
@@ -556,6 +559,7 @@ class ConjugatedGenerator:
         self.cond_e0 = pair.cond()
         if not (self.cond_e0 < cond_cap):
             raise ValueError(f"condition number {self.cond_e0:.3e} exceeds cap {cond_cap:.1e}")
+        pair.woodbury()
         self.schedule = schedule
         self.w = (np.sqrt(params.h**2 + pair.grid.x_norm**2) ** (1.0 - params.sigma)).ravel()
         self._level: tuple[float, np.ndarray, np.ndarray] | None = None
@@ -595,12 +599,14 @@ class ConjugatedGenerator:
     def dense(self, t: float) -> np.ndarray:
         """G_v(t) as a dense matrix, in O(n^2 m) through the pair's
         factors; the loop builds it only for eigenvalue samples.  The
-        similarity's factor e^(k(t) (w_i - w_j)) is formed in one float
-        n^d x n^d buffer, exponentiated in place."""
+        similarity's factor e^(k(t) (w_i - w_j)) is formed and applied one
+        slab of _DENSE_ROWS rows at a time, exponentiated in place."""
         mat = self.pair.conjugate(self.pieces.dense(t))
-        fac = np.subtract.outer(self.w, self.w)
-        fac *= self.schedule.k(t)
-        mat *= np.exp(fac, out=fac)
+        k = self.schedule.k(t)
+        for lo in range(0, mat.shape[0], _DENSE_ROWS):
+            fac = np.subtract.outer(self.w[lo : lo + _DENSE_ROWS], self.w)
+            fac *= k
+            mat[lo : lo + _DENSE_ROWS] *= np.exp(fac, out=fac)
         mat.flat[:: mat.shape[0] + 1] += self.schedule.kprime(t) * self.w
         return mat
 
@@ -611,12 +617,15 @@ class ConjugatedGenerator:
             return None
         return (self.weight(t) * self.pair.apply(f.ravel())).reshape(self.grid.shape)
 
-    def min_eig(self, gv: np.ndarray) -> float:
-        """Smallest eigenvalue of the Hermitian part of -gv, formed in gv's
-        own storage: gv is overwritten.  It is also that of i Lap - gv,
-        since the Hermitian Lap makes i Lap skew-Hermitian."""
-        gv *= -1
-        return hermitian_min_eig(DenseOp(self.grid, gv, "composite"))
+
+def conjugated_min_eig(grid: Grid, gv: np.ndarray) -> float:
+    """Smallest eigenvalue of the Hermitian part of -gv, a dense G_v on
+    grid, formed in gv's own storage: gv is overwritten.  It is also that
+    of i Lap - gv, since the Hermitian Lap makes i Lap skew-Hermitian.  It
+    takes no generator, so a caller can free the weight pair's factors
+    before the eigen-solve."""
+    gv *= -1
+    return hermitian_min_eig(DenseOp(grid, gv, "composite"))
 
 
 def solve_conjugated(problem: Problem, grid: Grid, dt: float, params: LambdaParams, schedule: ConjugationSchedule, *, indices: Sequence[GsIndices] = (), eig_stride: int = 0) -> ConjugatedResult:
@@ -630,7 +639,9 @@ def solve_conjugated(problem: Problem, grid: Grid, dt: float, params: LambdaPara
     With eig_stride > 0, the smallest eigenvalue of the Hermitian part of
     -G_v (that of i Lap - G_v, i Lap being skew-Hermitian), a function of t
     alone, is sampled outside the loop at t=0 and at every that many steps
-    and the last, of those taken; eig_stride < 0 is refused.  Its uniform
+    and the last, of those taken; eig_stride < 0 is refused, and so is a
+    grid past hermitian_min_eig's node cap when eig_stride > 0, before any
+    work.  Its uniform
     lower bound is the discrete form of the energy inequality the weight is
     designed to produce.  The report carries cond_e0, the condition number
     the cap was checked on.  The trace holds the norms of v; the boundary
@@ -640,6 +651,8 @@ def solve_conjugated(problem: Problem, grid: Grid, dt: float, params: LambdaPara
         raise ValueError("schedule horizon differs from problem horizon")
     if eig_stride < 0:
         raise ValueError(f"eig_stride must be >= 0, got {eig_stride}")
+    if eig_stride > 0:
+        _check_eig_size(grid)
     nsteps = _steps_for(problem.T, dt)
 
     pair = WeightPair(grid, lambda_on_grid(grid, params))
@@ -652,9 +665,10 @@ def solve_conjugated(problem: Problem, grid: Grid, dt: float, params: LambdaPara
     v0 = StateVector(grid, (gen.weight(0.0) * gen.pair.apply(gvals)).reshape(grid.shape))
 
     def eig_sample(j: int) -> dict:
-        return {"t": j * dt, "min_eig": gen.min_eig(gen.dense(j * dt))}
+        return {"t": j * dt, "min_eig": conjugated_min_eig(grid, gen.dense(j * dt))}
 
-    # t=0 goes first, so a grid past min_eig's node cap is refused before any step
+    # the node cap was checked before any work; t=0 is sampled before the
+    # steps, so a run that aborts still reports it
     eig_samples = [eig_sample(0)] if eig_stride > 0 else []
     v, trace, stepping = _crank_nicolson(gen, v0, dt, nsteps, method="krylov", indices=indices)
     if eig_stride > 0:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .cauchy import (
     ConjugatedGenerator,
+    conjugated_min_eig,
     estimate_loss_delta,
     gronwall_check,
     solve,
@@ -30,7 +31,7 @@ from .cauchy import (
 from .examples import _family, example1, example2, example3, hypothesis_check, residual_check
 from .grid import Grid, StateVector, sample
 from .gsnorm import GsIndices, norm_box_sweep
-from .pdo import WeightPair, conjugation_remainder_check
+from .pdo import WeightPair, _check_eig_size, conjugation_remainder_check
 # unused; bench/tracing.py patches them here until its span list drops them (ROADMAP item 1)
 from .pdo import assemble_dense, hermitian_min_eig, inverse  # noqa: F401
 from .svgplot import line_plot_svg
@@ -308,17 +309,20 @@ def _cmd_symbol_check(args, out: Path) -> dict:
 
 def _cmd_conjugation_check(args, out: Path) -> dict:
     hs = _parse_sweep(args.h, "--h")
+    grid = Grid(dim=1, n=args.n, L=args.L)
+    _check_eig_size(grid)  # every row takes a min-eig: refuse before the sweep
     sweep = conjugation_remainder_check(hs, n=args.n, L=args.L, M=args.M, s=args.s, sigma=args.sigma)
     sched = _schedule(args.M, args.N, args.T, args.k0)
     ep = example1(args.sigma, args.s, T=args.T)
-    grid = Grid(dim=1, n=args.n, L=args.L)
 
     def min_eig_for(h: float) -> tuple[float, float]:
         """(min-eig of G_v at t, the cond(E0) the generator checked)."""
         params = LambdaParams(M=args.M, h=h, s=args.s, sigma=args.sigma)
         pair = WeightPair(grid, lambda_on_grid(grid, params))
         gen = ConjugatedGenerator(ep.problem, pair, params, sched, cond_cap=1e14)
-        return gen.min_eig(gen.dense(args.t)), gen.cond_e0
+        gv, cond = gen.dense(args.t), gen.cond_e0
+        del pair, gen  # their n x m factors go before the eigen-solve's n x n copies
+        return conjugated_min_eig(grid, gv), cond
 
     rows = [[r["h"], r["norm_r1"], *min_eig_for(r["h"]), r["n"]] for r in sweep["rows"]]
     norms = [r["norm_r1"] for r in sweep["rows"]]
@@ -375,6 +379,7 @@ def _cmd_energy(args, out: Path) -> dict:
         "aborted": res.report["aborted"],
         "abort_reason": res.report["abort_reason"],
         "gmres": res.report["gmres"],
+        **{k: res.report[k] for k in ("boundary_initial", "boundary_final", "boundary_threshold")},
         **extra,
         "pass": bool(np.isfinite(gron["C0"])) and not res.report["aborted"],
     }

@@ -17,8 +17,10 @@ weight's pair is never assembled: its symbols differ from 1 only on the
 open frequency columns, so WeightPair takes the field as (open nodes,
 columns), as lambda_on_grid builds it, holds E0 and R0 as rank-m updates
 of the identity and takes the remainder norm, cond(E0) and E0^-1 exactly
-from those factors, in blocks: conjugate's temporaries are narrow and the
-remainder norm's K is never whole.
+from those factors, in blocks: conjugate's temporaries are narrow, the
+remainder norm's K is never whole, V_S is built only when E0 or E0^-1 is
+applied, and the Woodbury factor past _SOLVE_COLS nodes is solved that
+many columns at a time.
 """
 from __future__ import annotations
 
@@ -54,11 +56,22 @@ _BLOCK = 128
 _GRAM_BLOCK = 512
 _GRAM_STRIP = 128
 
+# columns of V_S per solve of WeightPair.woodbury past this many nodes, so
+# the solve's scratch is m x _SOLVE_COLS, not a second m x n^d
+_SOLVE_COLS = 1024
+
 
 def _check_size(grid: Grid) -> None:
     # n is a power of two, so this is n <= 4096 in 1-D and n <= 64 in 2-D
     if grid.node_count > _MAX_NODES:
         raise ValueError(f"dense operators cap the grid at {_MAX_NODES} nodes, got {grid.node_count}")
+
+
+def _check_eig_size(grid: Grid) -> None:
+    # hermitian_min_eig's node cap; a run that will take a min-eig checks it
+    # before any work
+    if grid.node_count > _EIG_MAX_NODES:
+        raise ValueError(f"hermitian_min_eig caps nodes at {_EIG_MAX_NODES}, got {grid.node_count}")
 
 
 @dataclass(frozen=True)
@@ -211,6 +224,11 @@ class WeightPair:
     (Hager, SIAM Review 1989).  While ||E0 R0 - I|| < 1, R0 is an
     approximate inverse of E0 and conjugating by E0 is well posed.  field
     is (S, lam[:, S]), flat indices, as lambda_on_grid returns it.
+
+    The pair holds U and [[core], [R_C]] from construction.  V_S is built
+    on first use (apply, woodbury, conjugate), so a pair used only for its
+    remainder norm and cond(E0) never holds it; Z = core^-1 V_S is built
+    by woodbury, into one C-ordered array, _SOLVE_COLS columns per solve.
     """
 
     def __init__(self, grid: Grid, field: tuple[np.ndarray, np.ndarray]):
@@ -218,8 +236,6 @@ class WeightPair:
         self._open, self._lam = field
         m = self._open.size
         self.u = _phase_columns(grid, self._open)  # W_S until scaled below
-        self.v_s = self.u.T.conj()
-        self.v_s *= grid.dx**grid.dim
         e = np.expm1(self._lam)
         e *= (grid.dxi / (2.0 * np.pi)) ** grid.dim
         self.u *= e
@@ -231,7 +247,19 @@ class WeightPair:
         del closed
         self._fc = np.concatenate((core, r_c))  # [[core], [R_C]], (m + k) x m of its own
         self._fc[np.arange(m), np.arange(m)] += 1.0  # core = I + V_S U
+        self._v_s = None
         self._z = None
+
+    @property
+    def v_s(self) -> np.ndarray:
+        """V_S = dx^d W_S^H, m x n^d (the transpose of a C-ordered array),
+        built on first use."""
+        if self._v_s is None:
+            w = _phase_columns(self.grid, self._open)
+            np.conjugate(w, out=w)
+            w *= self.grid.dx**self.grid.dim
+            self._v_s = w.T
+        return self._v_s
 
     def remainder_norm(self) -> float:
         """||E0 R0 - I||_2, exact: in the frame E0 R0 - I = A' B with
@@ -243,8 +271,10 @@ class WeightPair:
         if m == 0:
             return 0.0
         g = self.grid
-        # U_neg = c (e^-lam - 1)[:, S] * W_S, with W_S = V_S^H / dx^d
-        p = np.conjugate(self.v_s.T, order="C")  # C order: _dft_columns transforms it in place
+        # U_neg = c (e^-lam - 1)[:, S] * W_S; p is C-ordered, so
+        # _dft_columns transforms it in place
+        p = _phase_columns(g, self._open)
+        p *= g.dx**g.dim
         e = np.negative(self._lam)
         np.expm1(e, out=e)
         e *= (g.dxi / (2.0 * np.pi) / g.dx) ** g.dim
@@ -280,15 +310,26 @@ class WeightPair:
         """E0 v = v + U (V_S v) for flat v, or for each column of a matrix."""
         return v + self.u @ (self.v_s @ v)
 
-    def _woodbury(self) -> np.ndarray:
-        """Z = core^-1 V_S, so that E0^-1 = I - U Z; built on first use."""
+    def woodbury(self) -> np.ndarray:
+        """Z = core^-1 V_S, so that E0^-1 = I - U Z; built on first use.
+        Past _SOLVE_COLS nodes it is solved that many columns at a time
+        into one C-ordered array."""
         if self._z is None:
-            self._z = np.linalg.solve(self._fc[: self._open.size], self.v_s)
+            core, v_s = self._fc[: self._open.size], self.v_s
+            if v_s.shape[1] <= _SOLVE_COLS:
+                # one solve, no copy: copying a lone block into Z held one
+                # more m x n^d and raised the peak RSS of conjugation-check
+                # --n 512 (m = 511) from 66.8 to 70.7 MB
+                self._z = np.linalg.solve(core, v_s)
+            else:
+                self._z = np.empty(v_s.shape, dtype=np.complex128)
+                for lo in range(0, v_s.shape[1], _SOLVE_COLS):
+                    self._z[:, lo : lo + _SOLVE_COLS] = np.linalg.solve(core, v_s[:, lo : lo + _SOLVE_COLS])
         return self._z
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         """E0^-1 v = v - U (Z v) for flat v, or for each column of a matrix."""
-        return v - self.u @ (self._woodbury() @ v)
+        return v - self.u @ (self.woodbury() @ v)
 
     def conjugate(self, mat: np.ndarray) -> np.ndarray:
         """E0 mat E0^-1 = X - (X U) Z with X = E0 mat, in O(n^2 m), formed
@@ -299,7 +340,7 @@ class WeightPair:
         for lo in range(0, mat.shape[1], _BLOCK):
             blk = mat[:, lo : lo + _BLOCK]
             blk += self.u @ (self.v_s @ blk)
-        z = self._woodbury()
+        z = self.woodbury()
         for lo in range(0, mat.shape[0], _BLOCK):
             blk = mat[lo : lo + _BLOCK]
             blk -= (blk @ self.u) @ z
@@ -332,9 +373,7 @@ def conjugation_remainder_check(hs, *, n: int, L: float, M: float, s: float, sig
 def hermitian_min_eig(op: DenseOp) -> float:
     """Smallest eigenvalue of the Hermitian part (A + A^H)/2, formed in one
     conjugate copy of A; A itself is left as it is."""
-    n = op.grid.node_count
-    if n > _EIG_MAX_NODES:
-        raise ValueError(f"hermitian_min_eig caps nodes at {_EIG_MAX_NODES}, got {n}")
+    _check_eig_size(op.grid)
     herm = op.matrix.conj().T
     herm += op.matrix
     herm *= 0.5

@@ -9,6 +9,7 @@ from decaylab import cauchy
 from decaylab.cauchy import (
     Problem,
     ConjugatedGenerator,
+    conjugated_min_eig,
     EnergyTrace,
     _GeneratorPieces,
     _edge_fraction,
@@ -775,7 +776,7 @@ def test_conjugated_min_eig_matches_out_of_place_formula():
     s_fac = np.exp(sched.k(t) * (gen.w[:, None] - gen.w[None, :]))
     gv = s_fac * gen.pair.conjugate(gen.pieces.dense(t)) + np.diag(sched.kprime(t) * gen.w)
     assert np.array_equal(gen.dense(t), gv)
-    got = gen.min_eig(gen.dense(t))
+    got = conjugated_min_eig(gen.grid, gen.dense(t))
     assert got == hermitian_min_eig(DenseOp(gen.grid, -gv, "composite"))
     # i Lap is skew-Hermitian: leaving it out moves the value by roundoff only
     ilap, _ = gen.pieces._dense_blocks()

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 
 from decaylab.cauchy import solve_conjugated
 import decaylab
-from decaylab import cli
+from decaylab import cauchy, cli
 from decaylab.cli import emit_plot, main
 from decaylab.examples import example1
 from decaylab.grid import Grid, StateVector
@@ -257,6 +258,65 @@ def test_one_value_sweep_is_refused_before_any_work(tmp_path, capsys, monkeypatc
     assert flag in err["error"] and "at least two values" in err["error"]
 
 
+class _Reached(Exception):
+    pass
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (("energy", "--example", "1", "--conjugated", "--n", "4096", "--L", "15", "--h", "400",
+          "--dt", "0.0125", "--eig-stride", "5"), (cauchy, "lambda_on_grid")),
+        (("conjugation-check", "--n", "4096"), (cli, "conjugation_remainder_check")),
+    ],
+    ids=["energy-eig-stride", "conjugation-check"],
+)
+def test_min_eig_past_the_node_cap_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, work):
+    # each run takes min-eig samples, capped at 2048 nodes: a 4096-node grid
+    # is refused before the weight field or the remainder sweep is built
+    monkeypatch.setattr(*work, _reached)
+    rc, report, _ = _run(tmp_path, *argv)
+    assert rc == 2
+    assert report == {}
+    assert json.loads(capsys.readouterr().out)["error"] == "hermitian_min_eig caps nodes at 2048, got 4096"
+
+
+def test_conjugated_run_without_eig_samples_is_not_held_to_the_eig_cap(tmp_path, monkeypatch):
+    # with no eig sample the cap does not apply: the run goes on to build
+    # its weight field
+    monkeypatch.setattr(cauchy, "lambda_on_grid", _reached)
+    with pytest.raises(_Reached):
+        _run(tmp_path, "energy", "--example", "1", "--conjugated", "--n", "4096", "--L", "15", "--h", "400",
+             "--dt", "0.0125")
+
+
+def test_conjugation_check_frees_each_pair_before_its_eigen_solve(tmp_path, monkeypatch):
+    # each h's weight pair (U, V_S, Z, [[core], [R_C]]) and generator are
+    # gone before hermitian_min_eig copies the n x n sample
+    refs = []
+
+    class Tracked(WeightPair):
+        def __init__(self, *args):
+            super().__init__(*args)
+            refs.append(weakref.ref(self))
+
+    live = []
+
+    def counting(op, _real=cauchy.hermitian_min_eig):
+        live.append(sum(r() is not None for r in refs))
+        return _real(op)
+
+    monkeypatch.setattr(cli, "WeightPair", Tracked)
+    monkeypatch.setattr(cauchy, "hermitian_min_eig", counting)
+    rc, report, _ = _run(tmp_path, "conjugation-check", "--n", "64", "--h", "3,6")
+    assert rc == 0
+    assert len(refs) == 2 and live == [0, 0]
+
+
 def test_conjugation_check_ignores_seed(tmp_path):
     # the remainder norm is exact, so no verdict or number depends on --seed
     files = {}
@@ -280,11 +340,12 @@ def test_threads_above_one_are_refused(tmp_path, argv):
     assert not (tmp_path / "2").exists()
 
 
+BOUNDARY_KEYS = ("boundary_initial", "boundary_final", "boundary_threshold")
+
+
 def test_energy_plain(tmp_path):
-    rc, report, out = _run(
-        tmp_path, "energy", "--example", "1", "--n", "128", "--L", "15",
-        "--dt", "0.0125", "--T", "0.25",
-    )
+    common = ["--example", "1", "--n", "128", "--L", "15", "--dt", "0.0125", "--T", "0.25"]
+    rc, report, out = _run(tmp_path, "energy", *common)
     assert rc == 0
     assert np.isfinite(report["C0"])
     assert report["C0"] >= 1.0
@@ -292,6 +353,10 @@ def test_energy_plain(tmp_path):
     gm = report["gmres"]
     assert gm["worst_relres"] <= 1e-12 and gm["worst_true_relres"] <= 1e-12
     assert 1 <= gm["applies_per_step"]["min"] <= gm["applies_per_step"]["mean"] <= gm["applies_per_step"]["max"]
+    # the edge fractions are the run's own: solve at the same settings
+    # runs the same loop and reports the same three values
+    _, solved, _ = _run(tmp_path / "solve", "solve", *common)
+    assert [report[k] for k in BOUNDARY_KEYS] == [solved[k] for k in BOUNDARY_KEYS]
 
 
 def test_energy_plain_rerun_is_byte_identical(tmp_path):
@@ -318,6 +383,7 @@ def test_energy_conjugated(tmp_path):
     assert np.isfinite(report["min_eig_floor"])
     assert len(report["eig_samples"]) >= 3
     assert report["aborted"] is False and report["abort_reason"] is None
+    assert all(np.isfinite(report[k]) for k in BOUNDARY_KEYS)
     gm = report["gmres"]
     assert gm["worst_relres"] <= 1e-12 and gm["worst_true_relres"] <= 1e-12
 

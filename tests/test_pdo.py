@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from decaylab import pdo
-from decaylab.cauchy import ConjugatedGenerator, solve, solve_conjugated
+from decaylab.cauchy import ConjugatedGenerator, conjugated_min_eig, solve, solve_conjugated
 from decaylab.examples import example1
 from decaylab.grid import Grid, StateVector, forward_dft, apply_multiplier
 from decaylab.pdo import (
@@ -305,12 +305,13 @@ def test_remainder_norm_never_holds_a_whole_k():
 
 
 def test_weight_pair_holds_its_factors_and_no_dft_block():
-    # at criterion 8's h-to-band ratio the pair holds U and V_S (n^d x m
-    # each, the factor size) and [[core], [R_C]] in (m + k) x m storage of
-    # its own; building it holds the DFT block of U with its closed rows,
-    # then the closed rows with the QR's copy, never all three (held 2.16 and
-    # peak 4.01 factor sizes, against 3.00 and 4.93 while the pair kept the
-    # DFT block alive through a view)
+    # at criterion 8's h-to-band ratio the pair holds U (n^d x m, the
+    # factor size) and [[core], [R_C]] in (m + k) x m storage of its own,
+    # with V_S left to its first use; building it holds the DFT block of U
+    # with its closed rows, then the closed rows with the QR's copy, never
+    # all three (held 1.00 and peak 3.01 factor sizes, against 2.00 and
+    # 4.01 while construction also formed V_S, and 3.00 and 4.93 while the
+    # pair kept the DFT block alive through a view)
     g = Grid(dim=1, n=2048, L=15.0)
     field = _weight_field(1, 2048, 15.0, 192.0)
     WeightPair(g, field)  # warm any cached tables outside the trace
@@ -324,22 +325,70 @@ def test_weight_pair_holds_its_factors_and_no_dft_block():
         tracemalloc.stop()
     m, mk = pair._open.size, pair._fc.shape[0]
     factor = g.node_count * m * np.dtype(np.complex128).itemsize
-    assert 2 * mk < g.n and pair._fc.base is None
-    assert held - (2 * factor + pair._fc.nbytes) < 0.01 * factor
-    assert peak < 4.25 * factor
+    assert 2 * mk < g.n and pair._fc.base is None and pair._v_s is None
+    assert held - (factor + pair._fc.nbytes) < 0.01 * factor
+    assert peak < 3.25 * factor
+
+
+def test_remainder_only_pair_never_builds_v_s():
+    # conjugation-check's sweep builds a pair for its remainder norm and
+    # cond(E0) alone: V_S is never formed, and building the pair and taking
+    # both peaks at 5.51 n x m factor sizes at criterion 7's n=512 (6.51
+    # while construction formed V_S)
+    g = Grid(dim=1, n=512, L=0.5)
+    field = _weight_field(1, 512, 0.5, 5.0)
+    WeightPair(g, field).remainder_norm()  # warm any cached tables outside the trace
+    built = []
+
+    def remainder_only():
+        pair = WeightPair(g, field)
+        pair.remainder_norm()
+        pair.cond()
+        built.append(pair._v_s is not None)
+
+    peak = _traced_peak(remainder_only)
+    factor = g.node_count * field[0].size * np.dtype(np.complex128).itemsize
+    assert built == [False]
+    assert peak < 5.51 * factor
+
+
+def test_woodbury_in_column_blocks_equals_one_solve(monkeypatch):
+    # past _SOLVE_COLS nodes Z is solved that many columns at a time into
+    # one C-ordered array, so LAPACK's copy of the right-hand side is
+    # m x _SOLVE_COLS, not m x n^d.  That copy is malloc'd and tracemalloc
+    # does not see it, so the widths each solve receives are the guard on
+    # the blocking.  Blocked and whole solves agreed bit for bit on the
+    # OpenBLAS build this was written on; a BLAS may block the columns of
+    # its triangular solves differently, so Z is held to roundoff here.
+    g = Grid(dim=1, n=2048, L=15.0)
+    pair = WeightPair(g, _weight_field(1, 2048, 15.0, 192.0))
+    m = pair._open.size
+    want = np.linalg.solve(pair._fc[:m], pair.v_s)
+    widths = []
+
+    def spy(a, b, _solve=np.linalg.solve):
+        widths.append(b.shape[1])
+        return _solve(a, b)
+
+    monkeypatch.setattr(pdo.np.linalg, "solve", spy)
+    z = pair.woodbury()
+    assert widths == [pdo._SOLVE_COLS] * 2
+    assert z.flags.c_contiguous
+    np.testing.assert_allclose(z, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
 
 
 def test_conjugated_dense_and_min_eig_hold_two_square_arrays():
     # with the pair's factors and the dense blocks built, G_v and min_eig
     # allocate G_v and its Hermitian part, plus scratch of a few blocks
-    # (2.06 n x n arrays measured; 3.03 when each product made its own)
+    # (2.063 n x n arrays measured, the bound 2.10 leaving 0.04 for
+    # allocator noise; 3.03 when each product made its own)
     g = Grid(dim=1, n=512, L=0.5)
     params = LambdaParams(M=1.0, h=5.0, s=1.8, sigma=0.5)
     sched = ConjugationSchedule(M=1.0, Nconst=2.0, T=0.5, k0=2.0 * float(np.expm1(1.0)))
     gen = ConjugatedGenerator(example1(0.5, 1.8).problem, WeightPair(g, lambda_on_grid(g, params)), params, sched, cond_cap=1e14)
-    gen.min_eig(gen.dense(0.5))
-    peak = _traced_peak(lambda: gen.min_eig(gen.dense(0.5)))
-    assert peak <= 2.25 * g.n * g.n * np.dtype(np.complex128).itemsize
+    conjugated_min_eig(g, gen.dense(0.5))
+    peak = _traced_peak(lambda: conjugated_min_eig(g, gen.dense(0.5)))
+    assert peak <= 2.10 * g.n * g.n * np.dtype(np.complex128).itemsize
 
 
 def test_dense_step_holds_two_square_arrays():
