@@ -31,7 +31,8 @@ only through the diagonal.  The conjugated generator is then
 with S(t)[i, j] = e^(k(t)(w_i - w_j)) acting entrywise: the diagonal
 similarity W M W^-1 with W = diag(e^(k(t) w)).  So G_v applies matrix-free,
 G_v v = W E0 G(t) E0^-1 W^-1 v + k'(t) w v, with E0 and E0^-1 applied in
-O(n m) (m open frequency nodes, pdo.WeightPair) around the FFT apply.  E0 is
+O(n^d m) around the FFT apply, through the rank-m factors U and V_S and the
+m x m core^-1 (m open frequency nodes, pdo.WeightPair).  E0 is
 close to the identity, so G_v differs from G by lower-order terms and the
 same free step P preconditions its GMRES step solve; G_v itself is built
 only for eigenvalue samples.  Both routes share
@@ -49,7 +50,7 @@ import numpy as np
 
 from .grid import Grid, StateVector, _derivative_multiplier, apply_multiplier, sample
 from .gsnorm import GsIndices, gs_norm_ex
-from .pdo import DenseOp, WeightPair, _check_eig_size, _check_size, _circulant_view, hermitian_min_eig
+from .pdo import _BLOCK, DenseOp, WeightPair, _check_eig_size, _check_size, _circulant_view, hermitian_min_eig
 # unused; bench/tracing.py patches them here until its span list drops them (ROADMAP item 1)
 from .pdo import assemble_dense, inverse, power_iteration_norm  # noqa: F401
 from .symbol import ConjugationSchedule, LambdaParams, lambda_on_grid
@@ -144,12 +145,6 @@ def _edge_fraction(values: np.ndarray) -> float:
     return edge / amax
 
 
-# matrix rows per slab of _GeneratorPieces.dense's a-term products and of
-# ConjugatedGenerator.dense's similarity factor, so each temporary is
-# _DENSE_ROWS x n^d, not n^d x n^d
-_DENSE_ROWS = 128
-
-
 class _GeneratorPieces:
     """G(t) of the plain unknown u: frequency multipliers for apply, cached
     dense blocks for dense.  It shares with ConjugatedGenerator the five
@@ -237,11 +232,11 @@ class _GeneratorPieces:
     def dense(self, t: float) -> np.ndarray:
         """G(t) = i Lap - a . d - b as a dense matrix in one n^d x n^d
         allocation: a copy of i Lap, each a-term subtracted in slabs of about
-        _DENSE_ROWS rows, then b off the diagonal."""
+        _BLOCK rows, then b off the diagonal."""
         ilap, derivs = self._dense_blocks()
         g = self.grid
         mat = np.array(ilap, order="C")
-        step = max(1, _DENSE_ROWS * g.n // g.node_count)  # leading-axis indices per slab
+        step = max(1, _BLOCK * g.n // g.node_count)  # leading-axis indices per slab
         for ax in range(g.dim):
             aco = self._sample(self.problem.a[ax], t)
             if aco is not None:
@@ -549,8 +544,13 @@ class ConjugatedGenerator:
     """G_v(t) of the weighted unknown v = E(t) u (module docstring) for one
     weight pair and schedule, with w = <x>_h^(1-sigma).  E0 acts through the
     pair's factors; its 2-norm condition number cond_e0 must pass the
-    conditioning cap.  The pair's Woodbury factor is built here, before
-    any dense sample is."""
+    conditioning cap, which also bounds cond(core) (pdo.WeightPair).  The
+    pair's core^-1 and then V_S are built here, before any dense sample is:
+    V_S is not placed on the heap after an n^d x n^d sample, and the
+    inverse's LAPACK scratch is freed before V_S is allocated (at
+    conjugation-check --n 512, m = 511, the process peak read 61.6 MB,
+    against 64.4 MB with V_S built first and 68.4 MB with both left to
+    conjugate's first call)."""
 
     def __init__(self, problem: Problem, pair: WeightPair, params: LambdaParams, schedule: ConjugationSchedule, *, cond_cap: float = 1e12):
         self.pieces = _GeneratorPieces(problem, pair.grid)
@@ -559,7 +559,7 @@ class ConjugatedGenerator:
         self.cond_e0 = pair.cond()
         if not (self.cond_e0 < cond_cap):
             raise ValueError(f"condition number {self.cond_e0:.3e} exceeds cap {cond_cap:.1e}")
-        pair.woodbury()
+        pair.core_inv, pair.v_s  # in this order, now: see the class docstring
         self.schedule = schedule
         self.w = (np.sqrt(params.h**2 + pair.grid.x_norm**2) ** (1.0 - params.sigma)).ravel()
         self._level: tuple[float, np.ndarray, np.ndarray] | None = None
@@ -600,13 +600,13 @@ class ConjugatedGenerator:
         """G_v(t) as a dense matrix, in O(n^2 m) through the pair's
         factors; the loop builds it only for eigenvalue samples.  The
         similarity's factor e^(k(t) (w_i - w_j)) is formed and applied one
-        slab of _DENSE_ROWS rows at a time, exponentiated in place."""
+        slab of _BLOCK rows at a time, exponentiated in place."""
         mat = self.pair.conjugate(self.pieces.dense(t))
         k = self.schedule.k(t)
-        for lo in range(0, mat.shape[0], _DENSE_ROWS):
-            fac = np.subtract.outer(self.w[lo : lo + _DENSE_ROWS], self.w)
+        for lo in range(0, mat.shape[0], _BLOCK):
+            fac = np.subtract.outer(self.w[lo : lo + _BLOCK], self.w)
             fac *= k
-            mat[lo : lo + _DENSE_ROWS] *= np.exp(fac, out=fac)
+            mat[lo : lo + _BLOCK] *= np.exp(fac, out=fac)
         mat.flat[:: mat.shape[0] + 1] += self.schedule.kprime(t) * self.w
         return mat
 

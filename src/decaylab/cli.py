@@ -310,10 +310,12 @@ def _cmd_symbol_check(args, out: Path) -> dict:
 def _cmd_conjugation_check(args, out: Path) -> dict:
     hs = _parse_sweep(args.h, "--h")
     grid = Grid(dim=1, n=args.n, L=args.L)
-    _check_eig_size(grid)  # every row takes a min-eig: refuse before the sweep
-    sweep = conjugation_remainder_check(hs, n=args.n, L=args.L, M=args.M, s=args.s, sigma=args.sigma)
+    # every row takes a min-eig of G_v at t: refuse before the sweep
+    _check_eig_size(grid)
     sched = _schedule(args.M, args.N, args.T, args.k0)
+    sched._check_t(args.t)
     ep = example1(args.sigma, args.s, T=args.T)
+    sweep = conjugation_remainder_check(hs, n=args.n, L=args.L, M=args.M, s=args.s, sigma=args.sigma)
 
     def min_eig_for(h: float) -> tuple[float, float]:
         """(min-eig of G_v at t, the cond(E0) the generator checked)."""
@@ -350,6 +352,8 @@ def _cmd_conjugation_check(args, out: Path) -> dict:
 def _cmd_energy(args, out: Path) -> dict:
     if args.conjugated and args.method == "dense":
         raise _CliError("--method dense is the plain route's reference; the conjugated route steps with GMRES only")
+    if args.eig_stride and not args.conjugated:
+        raise _CliError("--eig-stride samples the conjugated route's eigenvalues; the plain route takes none")
     ep = _pick_example(args.example, args.sigma, args.s, args.T)
     grid = Grid(dim=1, n=args.n, L=args.L)
     l2 = GsIndices(0, 0, 0, 0, 2.0, 2.0)
@@ -422,7 +426,7 @@ def _cmd_sharpness(args, out: Path) -> dict:
 
 def _cmd_norm_sweep(args, out: Path) -> dict:
     ep = _pick_example(args.example, args.sigma, args.s, max(args.t, 1e-6))
-    Ls = _parse_floats(args.Ls)
+    Ls = _parse_sweep(args.Ls, "--Ls")
     if not args.dx > 0.0:
         raise ValueError(f"dx must be positive, got {args.dx}")
     idx = GsIndices(0.0, args.m2, 0.0, args.rho2, ep.problem.s0, 2.0)

@@ -18,9 +18,8 @@ open frequency columns, so WeightPair takes the field as (open nodes,
 columns), as lambda_on_grid builds it, holds E0 and R0 as rank-m updates
 of the identity and takes the remainder norm, cond(E0) and E0^-1 exactly
 from those factors, in blocks: conjugate's temporaries are narrow, the
-remainder norm's K is never whole, V_S is built only when E0 or E0^-1 is
-applied, and the Woodbury factor past _SOLVE_COLS nodes is solved that
-many columns at a time.
+remainder norm's K is never whole, and V_S and the m x m core^-1 are built
+only when E0 or E0^-1 is applied.
 """
 from __future__ import annotations
 
@@ -45,20 +44,16 @@ __all__ = [
 _MAX_NODES = 4096
 _EIG_MAX_NODES = 2048  # hermitian_min_eig's cap
 
-# rows or columns per block of WeightPair.conjugate's O(n^2 m) products, so
-# their temporaries are n^d x _BLOCK, not n^d x n^d (n = 512 splits in four)
+# rows or columns per slab of the dense products that would otherwise make a
+# square temporary: WeightPair.conjugate's two passes, remainder_norm's Gram
+# strips (which form only the lower triangle eigvalsh reads) and cauchy's
+# dense generators.  Each temporary has _BLOCK rows or columns (n = 512
+# splits in four).
 _BLOCK = 128
 
-# columns of K per term of WeightPair.remainder_norm's Gram sum (up to
-# n^d = 512 it is one term, the unblocked product bit for bit), and Gram
-# columns per strip of each term, so only the lower triangle eigvalsh reads
-# is formed and the conjugated operand is _GRAM_STRIP rows, not all of K's
+# columns of K per term of WeightPair.remainder_norm's Gram sum: up to
+# n^d = 512 it is one term, the unblocked product bit for bit
 _GRAM_BLOCK = 512
-_GRAM_STRIP = 128
-
-# columns of V_S per solve of WeightPair.woodbury past this many nodes, so
-# the solve's scratch is m x _SOLVE_COLS, not a second m x n^d
-_SOLVE_COLS = 1024
 
 
 def _check_size(grid: Grid) -> None:
@@ -221,14 +216,15 @@ class WeightPair:
     [[core - I, I], [R_C, 0]], R_C that of C, so one R-only QR of C gives
     the remainder norm and cond(E0) exactly from (m + k)-square problems,
     k = min(m, n^d - m).  E0^-1 = I - U core^-1 V_S by Woodbury's identity
-    (Hager, SIAM Review 1989).  While ||E0 R0 - I|| < 1, R0 is an
+    (Hager, SIAM Review 1989), and cond(core) <= cond(E0), since core is
+    E0's leading block and core^-1 that of E0^-1: the inverse of core is
+    as safe as E0's conditioning cap.  While ||E0 R0 - I|| < 1, R0 is an
     approximate inverse of E0 and conjugating by E0 is well posed.  field
     is (S, lam[:, S]), flat indices, as lambda_on_grid returns it.
 
-    The pair holds U and [[core], [R_C]] from construction.  V_S is built
-    on first use (apply, woodbury, conjugate), so a pair used only for its
-    remainder norm and cond(E0) never holds it; Z = core^-1 V_S is built
-    by woodbury, into one C-ordered array, _SOLVE_COLS columns per solve.
+    The pair holds U and [[core], [R_C]] from construction.  V_S (m x n^d)
+    and core^-1 (m x m) are built on first use, so a pair used only for
+    its remainder norm and cond(E0) holds neither.
     """
 
     def __init__(self, grid: Grid, field: tuple[np.ndarray, np.ndarray]):
@@ -248,7 +244,7 @@ class WeightPair:
         self._fc = np.concatenate((core, r_c))  # [[core], [R_C]], (m + k) x m of its own
         self._fc[np.arange(m), np.arange(m)] += 1.0  # core = I + V_S U
         self._v_s = None
-        self._z = None
+        self._core_inv = None
 
     @property
     def v_s(self) -> np.ndarray:
@@ -260,6 +256,13 @@ class WeightPair:
             w *= self.grid.dx**self.grid.dim
             self._v_s = w.T
         return self._v_s
+
+    @property
+    def core_inv(self) -> np.ndarray:
+        """core^-1, m x m, built on first use."""
+        if self._core_inv is None:
+            self._core_inv = np.linalg.inv(self._fc[: self._open.size])
+        return self._core_inv
 
     def remainder_norm(self) -> float:
         """||E0 R0 - I||_2, exact: in the frame E0 R0 - I = A' B with
@@ -289,8 +292,8 @@ class WeightPair:
             k = self._fc @ p[:, lo : lo + _GRAM_BLOCK]
             hit = (self._open >= lo) & (self._open < lo + _GRAM_BLOCK)
             k[rows[hit], self._open[hit] - lo] -= 1.0
-            for c in range(0, mk, _GRAM_STRIP):
-                gram[c:, c : c + _GRAM_STRIP] += k[c:] @ k[c : c + _GRAM_STRIP].conj().T
+            for c in range(0, mk, _BLOCK):
+                gram[c:, c : c + _BLOCK] += k[c:] @ k[c : c + _BLOCK].conj().T
             del k  # before the next block's k is formed
         del p
         return float(np.sqrt(max(np.linalg.eigvalsh(gram, UPLO="L")[-1], 0.0)))
@@ -310,40 +313,23 @@ class WeightPair:
         """E0 v = v + U (V_S v) for flat v, or for each column of a matrix."""
         return v + self.u @ (self.v_s @ v)
 
-    def woodbury(self) -> np.ndarray:
-        """Z = core^-1 V_S, so that E0^-1 = I - U Z; built on first use.
-        Past _SOLVE_COLS nodes it is solved that many columns at a time
-        into one C-ordered array."""
-        if self._z is None:
-            core, v_s = self._fc[: self._open.size], self.v_s
-            if v_s.shape[1] <= _SOLVE_COLS:
-                # one solve, no copy: copying a lone block into Z held one
-                # more m x n^d and raised the peak RSS of conjugation-check
-                # --n 512 (m = 511) from 66.8 to 70.7 MB
-                self._z = np.linalg.solve(core, v_s)
-            else:
-                self._z = np.empty(v_s.shape, dtype=np.complex128)
-                for lo in range(0, v_s.shape[1], _SOLVE_COLS):
-                    self._z[:, lo : lo + _SOLVE_COLS] = np.linalg.solve(core, v_s[:, lo : lo + _SOLVE_COLS])
-        return self._z
-
     def solve(self, v: np.ndarray) -> np.ndarray:
-        """E0^-1 v = v - U (Z v) for flat v, or for each column of a matrix."""
-        return v - self.u @ (self.woodbury() @ v)
+        """E0^-1 v = v - U (core^-1 (V_S v)) for flat v, or for each column
+        of a matrix."""
+        return v - self.u @ (self.core_inv @ (self.v_s @ v))
 
     def conjugate(self, mat: np.ndarray) -> np.ndarray:
-        """E0 mat E0^-1 = X - (X U) Z with X = E0 mat, in O(n^2 m), formed
-        in mat's own storage: mat is overwritten and returned.  X is formed
-        _BLOCK columns at a time, then X - (X U) Z _BLOCK rows at a time,
-        so each temporary is n^d x _BLOCK; each entry is the one the whole
-        products give."""
+        """E0 mat E0^-1 = X - ((X U) core^-1) V_S with X = E0 mat, in
+        O(n^2 m), formed in mat's own storage: mat is overwritten and
+        returned.  X is formed _BLOCK columns at a time, then the second
+        term _BLOCK rows at a time, so each temporary is n^d x _BLOCK; each
+        entry is the one the whole products give."""
         for lo in range(0, mat.shape[1], _BLOCK):
             blk = mat[:, lo : lo + _BLOCK]
             blk += self.u @ (self.v_s @ blk)
-        z = self.woodbury()
         for lo in range(0, mat.shape[0], _BLOCK):
             blk = mat[lo : lo + _BLOCK]
-            blk -= (blk @ self.u) @ z
+            blk -= ((blk @ self.u) @ self.core_inv) @ self.v_s
         return mat
 
 

@@ -241,8 +241,9 @@ def test_conjugation_check_reports_cond_e0(tmp_path):
     [
         (("conjugation-check", "--n", "64", "--h", "5"), "--h", "conjugation_remainder_check"),
         (("sharpness", "--deltas", "0.5"), "--deltas", "estimate_loss_delta"),
+        (("norm-sweep", "--Ls", "20"), "--Ls", "norm_box_sweep"),
     ],
-    ids=["conjugation-check", "sharpness"],
+    ids=["conjugation-check", "sharpness", "norm-sweep"],
 )
 def test_one_value_sweep_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, flag, work):
     # a one-point sweep has no trend to plot: it is invalid input, refused
@@ -285,6 +286,31 @@ def test_min_eig_past_the_node_cap_is_refused_before_any_work(tmp_path, capsys, 
     assert json.loads(capsys.readouterr().out)["error"] == "hermitian_min_eig caps nodes at 2048, got 4096"
 
 
+@pytest.mark.parametrize(
+    "argv, work, needle",
+    [
+        (("conjugation-check", "--t", "0.9"), (cli, "conjugation_remainder_check"), "t must lie in [0, 0.5]"),
+        (("conjugation-check", "--N", "0"), (cli, "conjugation_remainder_check"), "Nconst must be > 0"),
+        (("conjugation-check", "--T", "0"), (cli, "conjugation_remainder_check"), "T must be > 0"),
+        (("conjugation-check", "--k0", "0.1"), (cli, "conjugation_remainder_check"), "k0 must be >="),
+        (("energy", "--example", "1", "--eig-stride", "-3"), (cli, "solve"), "--eig-stride"),
+        (("energy", "--example", "1", "--eig-stride", "5"), (cli, "solve"), "--eig-stride"),
+    ],
+    ids=["conjugation-check-t", "conjugation-check-N", "conjugation-check-T", "conjugation-check-k0",
+         "energy-plain-eig-stride-neg", "energy-plain-eig-stride"],
+)
+def test_schedule_and_sample_flags_are_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, work, needle):
+    # conjugation-check's rows each take a min-eig of G_v at t, so a
+    # schedule or t it refuses exits 2 before the remainder sweep; the
+    # plain route takes no eigenvalue sample, so --eig-stride without
+    # --conjugated exits 2 before the run, where it ran with no sample
+    monkeypatch.setattr(*work, _reached)
+    rc, report, _ = _run(tmp_path, *argv)
+    assert rc == 2
+    assert report == {}
+    assert needle in json.loads(capsys.readouterr().out)["error"]
+
+
 def test_conjugated_run_without_eig_samples_is_not_held_to_the_eig_cap(tmp_path, monkeypatch):
     # with no eig sample the cap does not apply: the run goes on to build
     # its weight field
@@ -295,7 +321,7 @@ def test_conjugated_run_without_eig_samples_is_not_held_to_the_eig_cap(tmp_path,
 
 
 def test_conjugation_check_frees_each_pair_before_its_eigen_solve(tmp_path, monkeypatch):
-    # each h's weight pair (U, V_S, Z, [[core], [R_C]]) and generator are
+    # each h's weight pair (U, V_S, core^-1, [[core], [R_C]]) and generator are
     # gone before hermitian_min_eig copies the n x n sample
     refs = []
 

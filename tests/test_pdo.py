@@ -248,6 +248,8 @@ def _weight_field(dim, n, L, h):
         pytest.param(1, 256, 0.5, 5.0, 1e-12, id="criterion7"),
         pytest.param(1, 128, 15.0, 12.0, 1e-12, id="criterion8-n128"),
         pytest.param(2, 8, 3.0, 1.0, 1e-12, id="2d-8x8"),
+        # m = 147 open columns of 256: conjugate takes two row blocks
+        pytest.param(2, 16, 6.0, 3.0, 1e-12, id="2d-16x16"),
         # the dense reference itself loses digits at a remainder of 5.9e-7
         pytest.param(1, 256, 20.0, 19.0, 1e-9, id="criterion9"),
     ],
@@ -274,7 +276,7 @@ def test_remainder_norm_blocked_gram_matches_one_block(monkeypatch, n, L, h):
     monkeypatch.setattr(pdo, "_GRAM_BLOCK", n)
     one = pair.remainder_norm()
     monkeypatch.setattr(pdo, "_GRAM_BLOCK", n // 4)
-    monkeypatch.setattr(pdo, "_GRAM_STRIP", 16)
+    monkeypatch.setattr(pdo, "_BLOCK", 16)
     assert abs(pair.remainder_norm() - one) <= 1e-15 * one
 
 
@@ -352,36 +354,36 @@ def test_remainder_only_pair_never_builds_v_s():
     assert peak < 5.51 * factor
 
 
-def test_woodbury_in_column_blocks_equals_one_solve(monkeypatch):
-    # past _SOLVE_COLS nodes Z is solved that many columns at a time into
-    # one C-ordered array, so LAPACK's copy of the right-hand side is
-    # m x _SOLVE_COLS, not m x n^d.  That copy is malloc'd and tracemalloc
-    # does not see it, so the widths each solve receives are the guard on
-    # the blocking.  Blocked and whole solves agreed bit for bit on the
-    # OpenBLAS build this was written on; a BLAS may block the columns of
-    # its triangular solves differently, so Z is held to roundoff here.
+def test_conjugated_generator_holds_no_second_m_by_n_factor():
+    # at criterion 8's h-to-band ratio a constructed generator's pair holds
+    # U and V_S (n^d x m each), core^-1 (m x m) and [[core], [R_C]]: E0^-1
+    # is applied through core^-1, with no m x n^d Woodbury factor beside
+    # V_S (held 0.55 % over those four measured; a fifth m x n^d is 45 %)
     g = Grid(dim=1, n=2048, L=15.0)
-    pair = WeightPair(g, _weight_field(1, 2048, 15.0, 192.0))
+    params = LambdaParams(M=1.0, h=192.0, s=1.8, sigma=0.5)
+    field = lambda_on_grid(g, params)
+    sched = ConjugationSchedule(M=1.0, Nconst=2.0, T=0.5, k0=2.0 * float(np.expm1(1.0)))
+    problem = example1(0.5, 1.8).problem
+    ConjugatedGenerator(problem, WeightPair(g, field), params, sched)  # warm any cached tables outside the trace
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pair = ConjugatedGenerator(problem, WeightPair(g, field), params, sched).pair
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
     m = pair._open.size
-    want = np.linalg.solve(pair._fc[:m], pair.v_s)
-    widths = []
-
-    def spy(a, b, _solve=np.linalg.solve):
-        widths.append(b.shape[1])
-        return _solve(a, b)
-
-    monkeypatch.setattr(pdo.np.linalg, "solve", spy)
-    z = pair.woodbury()
-    assert widths == [pdo._SOLVE_COLS] * 2
-    assert z.flags.c_contiguous
-    np.testing.assert_allclose(z, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
+    assert pair.core_inv.shape == (m, m)
+    want = pair.u.nbytes + pair.v_s.nbytes + pair.core_inv.nbytes + pair._fc.nbytes
+    assert abs(held - want) < 0.01 * want
 
 
 def test_conjugated_dense_and_min_eig_hold_two_square_arrays():
-    # with the pair's factors and the dense blocks built, G_v and min_eig
-    # allocate G_v and its Hermitian part, plus scratch of a few blocks
-    # (2.063 n x n arrays measured, the bound 2.10 leaving 0.04 for
-    # allocator noise; 3.03 when each product made its own)
+    # with the pair's factors and the dense blocks built, tracemalloc sees
+    # G_v, its Hermitian part and scratch of a few blocks: 2.063 n x n
+    # arrays measured, the bound 2.10 leaving 0.04 for allocator noise
+    # (3.03 when each product made its own).  The copy eigvalsh works on is
+    # malloc'd inside numpy's LAPACK wrapper and is not traced.
     g = Grid(dim=1, n=512, L=0.5)
     params = LambdaParams(M=1.0, h=5.0, s=1.8, sigma=0.5)
     sched = ConjugationSchedule(M=1.0, Nconst=2.0, T=0.5, k0=2.0 * float(np.expm1(1.0)))
@@ -392,9 +394,11 @@ def test_conjugated_dense_and_min_eig_hold_two_square_arrays():
 
 
 def test_dense_step_holds_two_square_arrays():
-    # a dense Crank-Nicolson step forms I - h G(t+dt) in G's own storage,
-    # and np.linalg.solve factors a copy of it: two n x n arrays, where
-    # I - h G formed out of place held three
+    # a dense Crank-Nicolson step forms I - h G(t+dt) in G's own storage:
+    # tracemalloc sees G, one a-term slab of 128 rows and smaller scratch,
+    # 1.35 n x n arrays measured, where I - h G formed out of place adds
+    # one more.  The copy np.linalg.solve factors is malloc'd inside
+    # numpy's LAPACK wrapper and is not traced.
     g = Grid(dim=1, n=512, L=20.0)
     problem = example1(0.5, 1.8, T=0.1).problem
     peak = _traced_peak(lambda: solve(problem, g, 0.025, method="dense"))
