@@ -67,6 +67,14 @@ def emit_plot(path: Path, series: dict[str, list[tuple[float, float]]], *, title
     _write_text(path, line_plot_svg(series, title=title, xlabel=xlabel, ylabel=ylabel, logy=logy))
 
 
+def _plot_trace(path: Path, trace, title: str) -> None:
+    """Plot each traced norm against t.  A run that aborts on its first step
+    leaves one sample, which draws no curve: it gets no plot."""
+    if len(trace.times) > 1:
+        series = {lab: list(zip(trace.times, trace.columns[lab])) for lab in trace.labels}
+        emit_plot(path, series, title=title, xlabel="t", ylabel="norm")
+
+
 def _strict(obj):
     """obj with each non-finite float as None, for strict JSON; the report
     says why beside it (abort_reason, an overflow flag)."""
@@ -223,11 +231,7 @@ def _cmd_solve(args, out: Path) -> dict:
         ["x", "re", "im"],
         [[float(x), float(v.real), float(v.imag)] for x, v in zip(grid.x, res.u.values)],
     )
-    series = {
-        lab: list(zip(res.trace.times, res.trace.columns[lab])) for lab in res.trace.labels
-    }
-    if series:
-        emit_plot(out / "trace.svg", series, title="norm trace", xlabel="t", ylabel="norm")
+    _plot_trace(out / "trace.svg", res.trace, "norm trace")
     return report
 
 
@@ -354,13 +358,21 @@ def _cmd_energy(args, out: Path) -> dict:
         raise _CliError("--method dense is the plain route's reference; the conjugated route steps with GMRES only")
     if args.eig_stride and not args.conjugated:
         raise _CliError("--eig-stride samples the conjugated route's eigenvalues; the plain route takes none")
+    # the weight and schedule flags default to None, so that one given to
+    # the plain route is told from its default and refused
+    stray = [f"--{key}" for key in ("M", "h", "N", "k0") if getattr(args, key) is not None]
+    if stray and not args.conjugated:
+        raise _CliError(f"{', '.join(stray)}: the conjugated route's weight and schedule; the plain route takes neither")
     ep = _pick_example(args.example, args.sigma, args.s, args.T)
     grid = Grid(dim=1, n=args.n, L=args.L)
     l2 = GsIndices(0, 0, 0, 0, 2.0, 2.0)
     idx = [l2] + (_parse_indices(args.indices) if args.indices else [])
     if args.conjugated:
-        params = LambdaParams(M=args.M, h=args.h, s=args.s, sigma=args.sigma)
-        sched = _schedule(args.M, args.N, args.T, args.k0)
+        M = 1.0 if args.M is None else args.M
+        # activation threshold just inside the lattice band keeps the weight
+        # quantization remainder inside the invertibility range
+        params = LambdaParams(M=M, h=19.0 if args.h is None else args.h, s=args.s, sigma=args.sigma)
+        sched = _schedule(M, 0.5 if args.N is None else args.N, args.T, args.k0)
         res = solve_conjugated(
             ep.problem, grid, args.dt, params, sched, indices=idx, eig_stride=args.eig_stride
         )
@@ -374,7 +386,12 @@ def _cmd_energy(args, out: Path) -> dict:
         res = solve(ep.problem, grid, args.dt, indices=idx, method=args.method)
         extra = {}
     trace = res.trace
-    gron = gronwall_check(trace.times, trace.columns[l2.label()])
+    # an abort on the first step leaves one sample and no ratio to take: C0
+    # is NaN, written as null, and the run fails as any abort does
+    if len(trace.times) > 1:
+        gron = gronwall_check(trace.times, trace.columns[l2.label()])
+    else:
+        gron = {"C0": math.nan, "argmax_t": math.nan}
     report = {
         "example": args.example,
         "conjugated": bool(args.conjugated),
@@ -388,8 +405,7 @@ def _cmd_energy(args, out: Path) -> dict:
         "pass": bool(np.isfinite(gron["C0"])) and not res.report["aborted"],
     }
     _write_csv(out / "trace.csv", trace.header(), trace.rows())
-    series = {lab: list(zip(trace.times, trace.columns[lab])) for lab in trace.labels}
-    emit_plot(out / "trace.svg", series, title="energy trace", xlabel="t", ylabel="norm")
+    _plot_trace(out / "trace.svg", trace, "energy trace")
     return report
 
 
@@ -516,7 +532,8 @@ def _build_parser() -> _Parser:
     yp.add_argument("--M", type=float, default=1.0)
     yp.add_argument("--s", type=float, default=1.8)
     yp.add_argument("--sigma", type=float, default=0.5)
-    # sampled direction classes; ~16ms each on a 128x128 lattice (2 cores)
+    # sampled direction classes, 1.3-1.6 ms each on a 128x128 lattice (2
+    # cores): the default 256 of its 5040 classes take about 0.35 s
     yp.add_argument("--cap", type=int, default=256)
     yp.set_defaults(fn=_cmd_symbol_check)
 
@@ -546,12 +563,12 @@ def _build_parser() -> _Parser:
     ep_.add_argument("--method", choices=("krylov", "dense"), default="krylov")
     ep_.add_argument("--indices", default=None)
     ep_.add_argument("--conjugated", action="store_true")
-    ep_.add_argument("--M", type=float, default=1.0)
-    # activation threshold just inside the lattice band keeps the weight
-    # quantization remainder inside the invertibility range
-    ep_.add_argument("--h", type=float, default=19.0)
-    ep_.add_argument("--N", type=float, default=0.5)
-    ep_.add_argument("--k0", default="auto")
+    # the conjugated route's weight and schedule, refused without
+    # --conjugated; _cmd_energy fills in the defaults
+    ep_.add_argument("--M", type=float, help="default 1")
+    ep_.add_argument("--h", type=float, help="default 19")
+    ep_.add_argument("--N", type=float, help="default 0.5")
+    ep_.add_argument("--k0", help="default auto, (M + 1)(e^(N T) - 1)")
     ep_.add_argument("--eig-stride", type=int, default=0)
     ep_.set_defaults(fn=_cmd_energy)
 

@@ -13,7 +13,9 @@ The field and the transport check share one rule for F: in
 u = asinh(z / sqrt(1 + r2)), tables per s and u-panel of width 0.75 (the
 integral up to the panel and a 16-term Chebyshev sum across it, both built
 by 12-node Gauss-Legendre), within 1.1e-15 relative of 30-digit mpmath for
-s in {1.05, 1.1, 1.8, 2, 3, 5}, |y| <= 1e6 and r2 <= 3200.
+s in {1.05, 1.1, 1.8, 2, 3, 5}, |y| <= 1e6 and r2 <= 3200.  A batch takes
+one Clenshaw pass in which each point reads its own panel's coefficients,
+so a point's value is the same bits in any batch.
 The key payoff is the transport identity: wherever the direction cutoff sits
 on its plateau, sum_j (d lam / d x_j) xi_j = -M <x>^(1/s - 1) |xi| exactly,
 and elsewhere the same quantity is still bounded above by that value.
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cache, reduce
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -174,7 +176,7 @@ def _panel_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
     return frac, np.tile(w, count)[:, None]
 
 
-@lru_cache(maxsize=4096)
+@cache
 def _panel_table(s: float, k: int) -> tuple[float, np.ndarray]:
     """(C_k, q) for the u-panel [k W, (k + 1) W], W = _PROFILE_WIDTH:
     C_k = int_0^(k W) cosh(u)^(1/s) du over k panels of the rule, and q,
@@ -199,30 +201,6 @@ def _panel_table(s: float, k: int) -> tuple[float, np.ndarray]:
     return cum, q
 
 
-def _clenshaw(q: np.ndarray, x2: np.ndarray, b1: np.ndarray, b2: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # sum_j q[j] T_j(x) at x = x2 / 2 by Clenshaw's recurrence, in the
-    # scratch b1, b2 and t (x2's shape, overwritten): elementwise with scalar
-    # coefficients, so each value depends only on its own point
-    np.multiply(x2, q[-1], out=b1)
-    b1 += q[-2]
-    b2.fill(q[-1])
-    for qj in q[-3:0:-1]:
-        np.multiply(x2, b1, out=t)
-        t -= b2
-        t += qj
-        b1, b2, t = t, b1, b2
-    np.multiply(x2, b1, out=t)
-    t *= 0.5
-    t -= b2
-    t += q[0]
-    return t
-
-
-# points per block of _profile_integral's Clenshaw sums: five scratch
-# arrays of 128 KiB, so the scratch does not grow with the batch
-_PROFILE_BLOCK = 1 << 14
-
-
 def _profile_integral(y, rho_sq, s: float) -> np.ndarray:
     """F(y, rho_sq) = sign(y) int_0^|y| (1 + rho_sq + z^2)^p dz, p = (1/s - 1)/2.
 
@@ -232,31 +210,32 @@ def _profile_integral(y, rho_sq, s: float) -> np.ndarray:
     u-panel k = floor(U / W), and the integral is C_k + v Q_k(v), v = U - k W,
     from _panel_table's cumulative integral and Chebyshev sum: within
     1.1e-15 relative of 30-digit mpmath for s in {1.05, 1.1, 1.8, 2, 3, 5},
-    |y| <= 1e6 and rho_sq <= 3200.  Points are grouped by panel and summed in
-    blocks with scalar coefficients, so a value depends only on its own
-    point: it is bitwise the same in any batch.
+    |y| <= 1e6 and rho_sq <= 3200.  The whole batch takes one Clenshaw
+    recurrence, each point reading its own panel's coefficient at each term,
+    so a value depends only on its own point: it is bitwise the same in any
+    batch.
     """
     y = np.asarray(y, dtype=np.float64)
     c = 1.0 + np.broadcast_to(np.asarray(rho_sq, dtype=np.float64), y.shape).ravel()
-    upper = np.arcsinh(np.abs(y).ravel() / np.sqrt(c))
-    panel = (upper / _PROFILE_WIDTH).astype(np.intp)
-    out = np.empty_like(upper)
-    size = min(_PROFILE_BLOCK, upper.size)
-    v, x2, b1, b2, t = np.empty((5, size))
-    for k in np.flatnonzero(np.bincount(panel)):
-        group = np.flatnonzero(panel == k)
-        cum, q = _panel_table(s, int(k))
-        for lo in range(0, group.size, size):
-            sel = group[lo : lo + size]
-            m = sel.size
-            vs = np.take(upper, sel, out=v[:m])
-            vs -= k * _PROFILE_WIDTH
-            np.multiply(vs, 4.0 / _PROFILE_WIDTH, out=x2[:m])
-            x2[:m] -= 2.0
-            vs *= _clenshaw(q, x2[:m], b1[:m], b2[:m], t[:m])
-            vs += cum
-            out[sel] = vs
-    out *= c ** (0.5 / s)
+    v = np.arcsinh(np.abs(y).ravel() / np.sqrt(c))  # U, until k W is taken off
+    panel = (v / _PROFILE_WIDTH).astype(np.intp)
+    # the tables of the panels present, one row each: a running count of
+    # the occupied panels maps each panel to its row
+    occupied = np.bincount(panel) != 0
+    tables = [_panel_table(s, int(k)) for k in np.flatnonzero(occupied)]
+    cum = np.array([t[0] for t in tables])
+    q = np.array([t[1] for t in tables]).reshape(-1, _PROFILE_NCOEF).T
+    row = (np.cumsum(occupied) - 1)[panel]
+    v -= panel * _PROFILE_WIDTH
+    del panel  # the recurrence then holds nine batch-length arrays at most
+    # sum_j q_j T_j(x2 / 2) by Clenshaw's recurrence, each term gathering
+    # one coefficient per point from its panel's row
+    x2 = v * (4.0 / _PROFILE_WIDTH) - 2.0
+    b2 = q[-1][row]
+    b1 = x2 * b2 + q[-2][row]
+    for qj in q[-3:0:-1]:
+        b1, b2 = x2 * b1 - b2 + qj[row], b1
+    out = (v * (x2 * b1 * 0.5 - b2 + q[0][row]) + cum[row]) * c ** (0.5 / s)
     return (np.sign(y).ravel() * out).reshape(y.shape)
 
 

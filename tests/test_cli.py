@@ -1,4 +1,5 @@
 """CLI subcommands through main(argv): exit codes, artifacts, determinism."""
+import functools
 import json
 import os
 import subprocess
@@ -295,20 +296,50 @@ def test_min_eig_past_the_node_cap_is_refused_before_any_work(tmp_path, capsys, 
         (("conjugation-check", "--k0", "0.1"), (cli, "conjugation_remainder_check"), "k0 must be >="),
         (("energy", "--example", "1", "--eig-stride", "-3"), (cli, "solve"), "--eig-stride"),
         (("energy", "--example", "1", "--eig-stride", "5"), (cli, "solve"), "--eig-stride"),
+        (("energy", "--example", "1", "--M", "7"), (cli, "solve"), "--M"),
+        (("energy", "--example", "1", "--h", "5"), (cli, "solve"), "--h"),
+        (("energy", "--example", "1", "--N", "3"), (cli, "solve"), "--N"),
+        (("energy", "--example", "1", "--k0", "1"), (cli, "solve"), "--k0"),
     ],
     ids=["conjugation-check-t", "conjugation-check-N", "conjugation-check-T", "conjugation-check-k0",
-         "energy-plain-eig-stride-neg", "energy-plain-eig-stride"],
+         "energy-plain-eig-stride-neg", "energy-plain-eig-stride",
+         "energy-plain-M", "energy-plain-h", "energy-plain-N", "energy-plain-k0"],
 )
 def test_schedule_and_sample_flags_are_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, work, needle):
     # conjugation-check's rows each take a min-eig of G_v at t, so a
     # schedule or t it refuses exits 2 before the remainder sweep; the
-    # plain route takes no eigenvalue sample, so --eig-stride without
-    # --conjugated exits 2 before the run, where it ran with no sample
+    # plain route takes no eigenvalue sample, weight or schedule, so
+    # --eig-stride, --M, --h, --N or --k0 without --conjugated exits 2
+    # before the run, where it ran without them
     monkeypatch.setattr(*work, _reached)
     rc, report, _ = _run(tmp_path, *argv)
     assert rc == 2
     assert report == {}
     assert needle in json.loads(capsys.readouterr().out)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--example", "1", "--n", "128", "--L", "15", "--dt", "0.025", "--T", "0.1"),
+        ("energy", "--example", "1", "--n", "128", "--L", "15", "--dt", "0.025", "--T", "0.1"),
+        ("energy", "--example", "1", "--conjugated", "--n", "128", "--L", "15", "--h", "12", "--dt", "0.025",
+         "--T", "0.5"),
+    ],
+    ids=["solve", "energy-plain", "energy-conjugated"],
+)
+def test_abort_on_the_first_step_is_reported_as_an_abort(tmp_path, monkeypatch, argv):
+    # a stalled first step leaves a one-sample trace, with no energy ratio
+    # to fit and no curve to plot: the run reports its abort and exits 1,
+    # with its trace table and no plot
+    monkeypatch.setattr(cauchy, "_gmres", functools.partial(cauchy._gmres, restart=1, max_restarts=1))
+    rc, report, out = _run(tmp_path, *argv)
+    assert rc == 1
+    assert report["aborted"] is True and report["pass"] is False
+    assert "iterative step solve stalled" in report["abort_reason"]
+    assert report.get("C0") is None and report.get("linf_error") is None
+    assert len((out / "trace.csv").read_text().splitlines()) == 2
+    assert not (out / "trace.svg").exists()
 
 
 def test_conjugated_run_without_eig_samples_is_not_held_to_the_eig_cap(tmp_path, monkeypatch):

@@ -245,6 +245,49 @@ def test_profile_integral_is_per_point():
     assert _profile_integral(np.zeros((0, 2)), 1.0, 1.8).shape == (0, 2)
 
 
+def _grouped_profile(y, rho_sq, s):
+    # the evaluation the one-pass kernel replaced: points grouped by u-panel,
+    # each group summed by Clenshaw's recurrence with that panel's scalar
+    # coefficients, from the same tables
+    y = np.asarray(y, dtype=np.float64)
+    c = 1.0 + np.broadcast_to(np.asarray(rho_sq, dtype=np.float64), y.shape).ravel()
+    upper = np.arcsinh(np.abs(y).ravel() / np.sqrt(c))
+    panel = (upper / 0.75).astype(np.intp)
+    out = np.empty_like(upper)
+    for k in np.flatnonzero(np.bincount(panel)):
+        sel = np.flatnonzero(panel == k)
+        cum, q = symbol._panel_table(s, int(k))
+        v = upper[sel] - k * 0.75
+        x2 = v * (4.0 / 0.75) - 2.0
+        b1, b2 = x2 * q[-1] + q[-2], np.full_like(x2, q[-1])
+        for qj in q[-3:0:-1]:
+            b1, b2 = x2 * b1 - b2 + qj, b1
+        out[sel] = v * (x2 * b1 * 0.5 - b2 + q[0]) + cum
+    out *= c ** (0.5 / s)
+    return (np.sign(y).ravel() * out).reshape(y.shape)
+
+
+@pytest.mark.parametrize("s", [1.05, 1.8, 5.0])
+def test_profile_integral_matches_grouped_evaluation_bitwise(s):
+    # one Clenshaw pass over the batch, each point gathering its own panel's
+    # coefficients, gives the grouped evaluation's bits, signed zeros
+    # included: panels 0 to 19, |y| up to 1e6, batches of 0, 1, 64 and 20000
+    rng = np.random.default_rng(38)
+    y = rng.choice([-1.0, 1.0], 20000) * 10.0 ** rng.uniform(-3.0, 6.0, 20000)
+    rho_sq = rng.uniform(0.0, 3200.0, 20000)
+    rho_sq[rng.random(20000) < 0.3] = 0.0
+    y[:6] = [0.0, -0.0, 1e6, -1e6, 0.0, -0.0]
+    rho_sq[:6] = [0.0, 0.0, 0.0, 0.0, -0.0, -0.0]
+    rho_sq[6:12] = -0.0
+    upper = np.arcsinh(np.abs(y) / np.sqrt(1.0 + rho_sq))
+    assert np.array_equal(np.unique((upper / 0.75).astype(np.intp)), np.arange(20))
+    batches = [(y[:size], rho_sq[:size]) for size in (0, 1, 64, 20000)]
+    # a scalar rho_sq broadcasts, -0.0 as well
+    for yb, rb in batches + [(y, 0.0), (y, -0.0)]:
+        want = _grouped_profile(yb, rb, s)
+        assert np.array_equal(_profile_integral(yb, rb, s).view(np.uint64), want.view(np.uint64))
+
+
 def _y_with_upper(targets, c):
     # y >= 0 whose U = asinh(y / sqrt(c)), formed as _profile_integral forms
     # it, is exactly each target: searched over the floats next to
