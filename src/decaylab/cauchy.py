@@ -26,19 +26,18 @@ E(t) = diag(e^(k(t) w(x))) E0 conjugates by the phase weight: E0 is the
 direct quantization of e^lam (time-independent) and the time part enters
 only through the diagonal.  The conjugated generator is then
 
-    G_v(t) = S(t) * (E0 G(t) E0^-1) + k'(t) diag(w),
+    G_v(t) = W (E0 G(t) E0^-1) W^-1 + k'(t) diag(w),
 
-with S(t)[i, j] = e^(k(t)(w_i - w_j)) acting entrywise: the diagonal
-similarity W M W^-1 with W = diag(e^(k(t) w)).  So G_v applies matrix-free,
-G_v v = W E0 G(t) E0^-1 W^-1 v + k'(t) w v, with E0 and E0^-1 applied in
+the diagonal similarity by W = diag(e^(k(t) w)), read once per time
+level.  So G_v applies matrix-free, with E0 and E0^-1 applied in
 O(n^d m) around the FFT apply, through the rank-m factors U and V_S and the
 m x m core^-1 (m open frequency nodes, pdo.WeightPair).  E0 is
 close to the identity, so G_v differs from G by lower-order terms and the
-same free step P preconditions its GMRES step solve; G_v itself is built
-only for eigenvalue samples.  Both routes share
-one Crank-Nicolson loop, its step solver and its boundary contamination
-monitor, which watches u.  Energy accounting and an empirical decay-loss
-classifier live here too.
+same free step P preconditions its GMRES step solve; G_v itself, two
+diagonal scalings of E0 G(t) E0^-1, is built only for eigenvalue samples.
+Both routes share one Crank-Nicolson loop, its step solver and its
+boundary contamination monitor, which watches u.  Energy accounting and
+an empirical decay-loss classifier live here too.
 """
 from __future__ import annotations
 
@@ -59,7 +58,6 @@ __all__ = [
     "Problem",
     "EnergyTrace",
     "SolveResult",
-    "ConjugatedResult",
     "ConjugatedGenerator",
     "conjugated_min_eig",
     "solve",
@@ -531,15 +529,6 @@ def solve(problem: Problem, grid: Grid, dt: float, *, indices: Sequence[GsIndice
     return SolveResult(u=u, trace=trace, report=report)
 
 
-@dataclass(frozen=True)
-class ConjugatedResult:
-    u: StateVector
-    v: StateVector
-    trace: EnergyTrace
-    eig_samples: list
-    report: dict
-
-
 class ConjugatedGenerator:
     """G_v(t) of the weighted unknown v = E(t) u (module docstring) for one
     weight pair and schedule, with w = <x>_h^(1-sigma).  E0 acts through the
@@ -577,16 +566,19 @@ class ConjugatedGenerator:
         """e^(k(t) w) per node, read-only: the diagonal factor of E(t)."""
         return self._schedule_at(t)[0]
 
+    def lift(self, t: float, u: np.ndarray) -> np.ndarray:
+        """E(t) u = e^(k(t) w) E0 u for flat u; physical is its inverse."""
+        return self.weight(t) * self.pair.apply(u)
+
     def physical(self, t: float, v: StateVector) -> np.ndarray:
         """u = E(t)^-1 v = E0^-1 (v / e^(k(t) w)) on grid.shape."""
         return self.pair.solve(v.values.ravel() / self.weight(t)).reshape(self.grid.shape)
 
     def apply(self, t: float, v: StateVector) -> np.ndarray:
-        """G_v(t) v without forming G_v, through the similarity
-        W E0 G(t) E0^-1 W^-1 v + k'(t) w v with W = diag(e^(k(t) w))."""
+        """G_v(t) v without forming G_v: E(t) G(t) E(t)^-1 v + k'(t) w v."""
         gu = self.pieces.apply(t, StateVector(self.grid, self.physical(t, v))).ravel()
-        weight, drift = self._schedule_at(t)
-        out = weight * self.pair.apply(gu) + drift * v.values.ravel()
+        out = self.lift(t, gu)
+        out += self._schedule_at(t)[1] * v.values.ravel()
         return out.reshape(self.grid.shape)
 
     def preconditioned_apply(self, t: float, h: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -599,15 +591,14 @@ class ConjugatedGenerator:
     def dense(self, t: float) -> np.ndarray:
         """G_v(t) as a dense matrix, in O(n^2 m) through the pair's
         factors; the loop builds it only for eigenvalue samples.  The
-        similarity's factor e^(k(t) (w_i - w_j)) is formed and applied one
-        slab of _BLOCK rows at a time, exponentiated in place."""
+        similarity by W is two diagonal scalings of E0 G(t) E0^-1 in its own
+        storage, rows by e^(k(t) w) and columns by its inverse, the level
+        apply reads."""
         mat = self.pair.conjugate(self.pieces.dense(t))
-        k = self.schedule.k(t)
-        for lo in range(0, mat.shape[0], _BLOCK):
-            fac = np.subtract.outer(self.w[lo : lo + _BLOCK], self.w)
-            fac *= k
-            mat[lo : lo + _BLOCK] *= np.exp(fac, out=fac)
-        mat.flat[:: mat.shape[0] + 1] += self.schedule.kprime(t) * self.w
+        weight, drift = self._schedule_at(t)
+        mat *= weight[:, None]
+        mat /= weight
+        mat.flat[:: mat.shape[0] + 1] += drift
         return mat
 
     def source(self, t: float) -> np.ndarray | None:
@@ -615,7 +606,7 @@ class ConjugatedGenerator:
         f = self.pieces.source(t)
         if f is None:
             return None
-        return (self.weight(t) * self.pair.apply(f.ravel())).reshape(self.grid.shape)
+        return self.lift(t, f.ravel()).reshape(self.grid.shape)
 
 
 def conjugated_min_eig(grid: Grid, gv: np.ndarray) -> float:
@@ -628,7 +619,7 @@ def conjugated_min_eig(grid: Grid, gv: np.ndarray) -> float:
     return hermitian_min_eig(DenseOp(grid, gv, "composite"))
 
 
-def solve_conjugated(problem: Problem, grid: Grid, dt: float, params: LambdaParams, schedule: ConjugationSchedule, *, indices: Sequence[GsIndices] = (), eig_stride: int = 0) -> ConjugatedResult:
+def solve_conjugated(problem: Problem, grid: Grid, dt: float, params: LambdaParams, schedule: ConjugationSchedule, *, indices: Sequence[GsIndices] = (), eig_stride: int = 0) -> SolveResult:
     """Integrate the weighted unknown v = E(t) u and undo the weight.
 
     E(t) = diag(e^(k(t) w)) E0 with w = <x>_h^(1-sigma) and E0 the direct
@@ -641,11 +632,13 @@ def solve_conjugated(problem: Problem, grid: Grid, dt: float, params: LambdaPara
     alone, is sampled outside the loop at t=0 and at every that many steps
     and the last, of those taken; eig_stride < 0 is refused, and so is a
     grid past hermitian_min_eig's node cap when eig_stride > 0, before any
-    work.  Its uniform
-    lower bound is the discrete form of the energy inequality the weight is
-    designed to produce.  The report carries cond_e0, the condition number
-    the cap was checked on.  The trace holds the norms of v; the boundary
-    monitor watches u, as in solve, since the weight lifts v toward the edge.
+    work.  Its uniform lower bound is the discrete form of the energy
+    inequality the weight is designed to produce.  Returns a SolveResult
+    with u at the last time reached; its report carries the samples
+    (eig_samples, their minimum min_eig_floor) and cond_e0, the condition
+    number the cap was checked on.  The trace holds the norms of v; the
+    boundary monitor watches u, as in solve, since the weight lifts v
+    toward the edge.
     """
     if abs(schedule.T - problem.T) > 1e-12:
         raise ValueError("schedule horizon differs from problem horizon")
@@ -661,8 +654,7 @@ def solve_conjugated(problem: Problem, grid: Grid, dt: float, params: LambdaPara
         raise ValueError(f"weight quantization remainder {rem:.3e} is not below 1")
     gen = ConjugatedGenerator(problem, pair, params, schedule)
 
-    gvals = sample(grid, problem.g).values.ravel()
-    v0 = StateVector(grid, (gen.weight(0.0) * gen.pair.apply(gvals)).reshape(grid.shape))
+    v0 = StateVector(grid, gen.lift(0.0, sample(grid, problem.g).values.ravel()).reshape(grid.shape))
 
     def eig_sample(j: int) -> dict:
         return {"t": j * dt, "min_eig": conjugated_min_eig(grid, gen.dense(j * dt))}
@@ -686,10 +678,11 @@ def solve_conjugated(problem: Problem, grid: Grid, dt: float, params: LambdaPara
         "remainder_norm": rem,
         "cond_e0": gen.cond_e0,
         "min_eig_floor": min((e["min_eig"] for e in eig_samples), default=None),
+        "eig_samples": eig_samples,
         "final_l2_u": u.l2_norm(),
         "final_l2_v": v.l2_norm(),
     }
-    return ConjugatedResult(u=u, v=v, trace=trace, eig_samples=eig_samples, report=report)
+    return SolveResult(u=u, trace=trace, report=report)
 
 
 def gronwall_check(times, norms, source_norms=None) -> dict:

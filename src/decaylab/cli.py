@@ -376,12 +376,7 @@ def _cmd_energy(args, out: Path) -> dict:
         res = solve_conjugated(
             ep.problem, grid, args.dt, params, sched, indices=idx, eig_stride=args.eig_stride
         )
-        extra = {
-            "remainder_norm": res.report["remainder_norm"],
-            "cond_e0": res.report["cond_e0"],
-            "min_eig_floor": res.report["min_eig_floor"],
-            "eig_samples": res.eig_samples,
-        }
+        extra = {k: res.report[k] for k in ("remainder_norm", "cond_e0", "min_eig_floor", "eig_samples")}
     else:
         res = solve(ep.problem, grid, args.dt, indices=idx, method=args.method)
         extra = {}
@@ -412,7 +407,9 @@ def _cmd_energy(args, out: Path) -> dict:
 def _cmd_sharpness(args, out: Path) -> dict:
     deltas = _parse_sweep(args.deltas, "--deltas")
     below = example1(args.sigma, args.s_below, T=max(args.t, 1e-6))
-
+    # the mirror of example1's refusal of s_below: sigma is checked there
+    if not (args.s_above > 1.0 / (1.0 - args.sigma)):
+        raise _CliError(f"--s-above needs s > 1/(1-sigma) = {1.0 / (1.0 - args.sigma)}, got {args.s_above}")
     above = _family(args.sigma, args.s_above, -1.0, max(args.t, 1e-6), "sharpness-upper", 1.0)
     est_b = estimate_loss_delta(below.phi, args.t, deltas, sigma=args.sigma, s=args.s_below, rho2_g=1.0)
     est_a = estimate_loss_delta(above.phi, args.t, deltas, sigma=args.sigma, s=args.s_above, rho2_g=1.0)

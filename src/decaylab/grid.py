@@ -77,8 +77,9 @@ class Grid:
 
     @cached_property
     def x(self) -> np.ndarray:
-        """Per-axis spatial nodes -L + j*dx, j = 0..n-1."""
-        return -self.L + self.dx * np.arange(self.n)
+        """Per-axis spatial nodes (j - n/2) dx, j = 0..n-1: x_0 = -L, and
+        x_(n-j) = -x_j bit for bit at every L."""
+        return self.dx * (np.arange(self.n) - self.n // 2)
 
     @cached_property
     def k_int(self) -> np.ndarray:

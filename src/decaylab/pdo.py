@@ -45,15 +45,11 @@ _MAX_NODES = 4096
 _EIG_MAX_NODES = 2048  # hermitian_min_eig's cap
 
 # rows or columns per slab of the dense products that would otherwise make a
-# square temporary: WeightPair.conjugate's two passes, remainder_norm's Gram
-# strips (which form only the lower triangle eigvalsh reads) and cauchy's
-# dense generators.  Each temporary has _BLOCK rows or columns (n = 512
-# splits in four).
+# square temporary: WeightPair.conjugate's two passes, remainder_norm's K
+# terms and Gram strips (which form only the lower triangle eigvalsh reads)
+# and the plain route's dense generator.  Each temporary has _BLOCK rows or
+# columns (n = 512 splits in four).
 _BLOCK = 128
-
-# columns of K per term of WeightPair.remainder_norm's Gram sum: up to
-# n^d = 512 it is one term, the unblocked product bit for bit
-_GRAM_BLOCK = 512
 
 
 def _check_size(grid: Grid) -> None:
@@ -269,7 +265,7 @@ class WeightPair:
         A' = [[core - I, I], [C, 0]] and B = [[e_S^T + H], [H]], so its norm
         is that of K = [[core], [R_C]] (e_S^T + H) - [[e_S^T], [0]], the
         square root of the top eigenvalue of K K^H.  K, (m + k) x n^d, is
-        formed _GRAM_BLOCK columns at a time and never whole."""
+        formed _BLOCK columns at a time and never whole."""
         m = self._open.size
         if m == 0:
             return 0.0
@@ -288,9 +284,9 @@ class WeightPair:
         p[rows, self._open] += 1.0
         mk = self._fc.shape[0]
         gram = np.zeros((mk, mk), dtype=np.complex128)
-        for lo in range(0, p.shape[1], _GRAM_BLOCK):
-            k = self._fc @ p[:, lo : lo + _GRAM_BLOCK]
-            hit = (self._open >= lo) & (self._open < lo + _GRAM_BLOCK)
+        for lo in range(0, p.shape[1], _BLOCK):
+            k = self._fc @ p[:, lo : lo + _BLOCK]
+            hit = (self._open >= lo) & (self._open < lo + _BLOCK)
             k[rows[hit], self._open[hit] - lo] -= 1.0
             for c in range(0, mk, _BLOCK):
                 gram[c:, c : c + _BLOCK] += k[c:] @ k[c : c + _BLOCK].conj().T

@@ -240,14 +240,12 @@ def _profile_integral(y, rho_sq, s: float) -> np.ndarray:
 
 
 def _geometry(x, xi):
-    # y = x . omega, rho_sq = |x|^2 - y^2 >= 0, both per point
-    xin = np.sqrt(np.sum(xi * xi, axis=-1))
-    if np.any(xin == 0.0):
-        raise ValueError("xi must be nonzero to define a direction")
-    omega = xi / xin[..., None]
+    # y = x . omega, rho_sq = |x|^2 - y^2 >= 0, both per point, for xi inside
+    # the open gate, |xi| > h >= 1
+    omega = xi / np.sqrt(np.sum(xi * xi, axis=-1))[..., None]
     y = np.sum(x * omega, axis=-1)
     rho_sq = np.maximum(np.sum(x * x, axis=-1) - y * y, 0.0)
-    return y, rho_sq, xin
+    return y, rho_sq
 
 
 def _blend(y, rho_sq, bx, params: LambdaParams) -> np.ndarray:
@@ -320,7 +318,7 @@ def lambda_sym(x, xi, params: LambdaParams) -> np.ndarray:
     if np.any(act):
         xa = x[act]
         xia = xi[act]
-        y, rho_sq, _ = _geometry(xa, xia)
+        y, rho_sq = _geometry(xa, xia)
         bx = np.sqrt(1.0 + np.sum(xa * xa, axis=-1))
         out[act] = gate[act] * _blend(y, rho_sq, bx, params)
     return out
@@ -400,12 +398,12 @@ def c_of_lambda(params: LambdaParams, L: float, n: int) -> float:
 def _reflection_orbits(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Orbits of x -> -x on the nodes as (rep, mult): each orbit's lower flat
     index, ascending, and its size, 1 or 2.  Index j > 0 mirrors n - j on an
-    axis where x_(n-j) = -x_j bit for bit; a node pairs if every axis does."""
+    axis, since Grid.x is odd bit for bit, and index 0 (x = -L) has no
+    mirror; a node pairs if every axis does."""
     mirror = -np.arange(grid.n) % grid.n
-    exact = (mirror != 0) & (grid.x[mirror] == -grid.x)
     flat = np.arange(grid.node_count)
     pair = reduce(lambda a, b: np.add.outer(a * grid.n, b), (mirror,) * grid.dim).ravel()
-    pair = np.where(reduce(np.logical_and.outer, (exact,) * grid.dim).ravel(), pair, flat)
+    pair = np.where(reduce(np.logical_and.outer, (mirror != 0,) * grid.dim).ravel(), pair, flat)
     rep = np.flatnonzero(flat <= pair)
     return rep, np.where(pair[rep] == rep, 1, 2)
 

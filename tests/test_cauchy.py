@@ -722,7 +722,8 @@ def test_conjugated_generator_apply_matches_dense():
 def test_conjugated_apply_evaluates_the_schedule_once_per_time_level(monkeypatch):
     # a step applies G_v several times at one t: apply takes e^(k(t) w) and
     # k'(t) w from one evaluation of k and k' per time level, bit for bit
-    # the out-of-place formula, and hands the weight out read-only
+    # the out-of-place formula, and hands the weight out read-only; dense
+    # reads the same level
     gen, _, sched = _open_gate_generator()
     g = gen.grid
     v = StateVector(g, np.exp(-g.x**2 / 4.0) * (1.0 + 0.5j * g.x))
@@ -747,6 +748,7 @@ def test_conjugated_apply_evaluates_the_schedule_once_per_time_level(monkeypatch
         monkeypatch.setattr(ConjugationSchedule, name, counted(name))
     for t in (0.1, 0.1, 0.1, 0.3, 0.3):
         assert gen.apply(t, v).tobytes() == want[t].tobytes()
+    gen.dense(0.3)
     assert calls == ["k", "kprime"] * 2
     assert not gen.weight(0.3).flags.writeable
 
@@ -770,11 +772,12 @@ def test_conjugated_preconditioned_step_matches_dense():
 
 def test_conjugated_min_eig_matches_out_of_place_formula():
     # dense and min_eig work in place; the values must be bit for bit those
-    # of S(t) * (E0 G E0^-1) + k'(t) diag(w) and of -G_v
+    # of W (E0 G E0^-1) W^-1 + k'(t) diag(w), W = diag(e^(k(t) w)) scaling
+    # rows then columns, and of -G_v
     gen, _, sched = _open_gate_generator()
     t = 0.3
-    s_fac = np.exp(sched.k(t) * (gen.w[:, None] - gen.w[None, :]))
-    gv = s_fac * gen.pair.conjugate(gen.pieces.dense(t)) + np.diag(sched.kprime(t) * gen.w)
+    weight = np.exp(sched.k(t) * gen.w)
+    gv = weight[:, None] * gen.pair.conjugate(gen.pieces.dense(t)) / weight + np.diag(sched.kprime(t) * gen.w)
     assert np.array_equal(gen.dense(t), gv)
     got = conjugated_min_eig(gen.grid, gen.dense(t))
     assert got == hermitian_min_eig(DenseOp(gen.grid, -gv, "composite"))
@@ -811,8 +814,8 @@ def test_conjugated_run_builds_g_v_only_at_eig_samples(monkeypatch, n, h, T, eig
     sched = ConjugationSchedule(M=1.0, Nconst=0.5, T=T, k0=2.0 * np.expm1(0.5 * T))
     res = solve_conjugated(ep.problem, g, 0.0125, params, sched, eig_stride=eig_stride)
     assert res.report["steps_taken"] == round(T / 0.0125)
-    assert len(res.eig_samples) == samples
-    assert calls == [e["t"] for e in res.eig_samples]
+    assert len(res.report["eig_samples"]) == samples
+    assert calls == [e["t"] for e in res.report["eig_samples"]]
     assert res.report["method"] == "conjugated-krylov"
     gm = res.report["gmres"]
     assert gm["applies_per_step"]["mean"] <= 8
@@ -843,9 +846,9 @@ def test_conjugated_route_tracks_exact_solution():
     e_plain = np.max(np.abs(plain.u.values - exact))
     e_conj = np.max(np.abs(conj.u.values - exact))
     assert e_conj <= 2.0 * e_plain
-    assert len(conj.eig_samples) >= 3
+    assert len(conj.report["eig_samples"]) >= 3
     assert np.isfinite(conj.report["min_eig_floor"])
-    times = [e["t"] for e in conj.eig_samples]
+    times = [e["t"] for e in conj.report["eig_samples"]]
     assert times == sorted(times)
 
 

@@ -219,8 +219,8 @@ def test_conjugation_check_matches_conjugated_solve(tmp_path):
         params = LambdaParams(M=1.0, h=row["h"], s=1.8, sigma=0.5)
         res = solve_conjugated(ep.problem, Grid(dim=1, n=64, L=0.5), 0.025, params, sched, eig_stride=20)
         assert row["norm_r1"] == res.report["remainder_norm"]
-        assert res.eig_samples[-1]["t"] == 0.5
-        assert row["min_eig"] == res.eig_samples[-1]["min_eig"]
+        assert res.report["eig_samples"][-1]["t"] == 0.5
+        assert row["min_eig"] == res.report["eig_samples"][-1]["min_eig"]
 
 
 def test_conjugation_check_reports_cond_e0(tmp_path):
@@ -436,6 +436,11 @@ def test_energy_conjugated(tmp_path):
         "--eig-stride", "5",
     )
     assert rc == 0
+    # the exact key set: no key read from solve_conjugated's report is lost
+    assert sorted(report) == [
+        "C0", "abort_reason", "aborted", "argmax_t", *sorted(BOUNDARY_KEYS), "cond_e0", "conjugated",
+        "eig_samples", "example", "gmres", "min_eig_floor", "pass", "remainder_norm",
+    ]
     assert 0 < report["remainder_norm"] < 1
     assert np.isfinite(report["min_eig_floor"])
     assert len(report["eig_samples"]) >= 3
@@ -485,6 +490,21 @@ def test_sharpness_opposite_verdicts(tmp_path):
     assert report["above_all_divergent"] is True
     rows = (out / "sharpness.csv").read_text().splitlines()
     assert len(rows) == 7  # header + 3 deltas per side
+
+
+@pytest.mark.parametrize("s_above", ["1.5", "2.0"])
+def test_sharpness_refuses_s_above_at_or_below_the_threshold(tmp_path, capsys, monkeypatch, s_above):
+    # 1/(1-sigma) = 2 at the default sigma: an --s-above on the convergent
+    # side is invalid input, as --s-below on the divergent side is
+    def no_work(*args, **kwargs):
+        raise AssertionError("estimate_loss_delta ran")
+
+    monkeypatch.setattr(cli, "estimate_loss_delta", no_work)
+    rc, report, _ = _run(tmp_path, "sharpness", "--s-above", s_above)
+    assert rc == 2
+    assert report == {}
+    err = json.loads(capsys.readouterr().out)
+    assert "--s-above" in err["error"] and "1/(1-sigma) = 2.0" in err["error"]
 
 
 def test_norm_sweep_divergent_case(tmp_path):

@@ -269,13 +269,12 @@ def test_weight_pair_factors_match_dense(dim, n, L, h, rel):
     [pytest.param(256, 0.5, 5.0, id="criterion7"), pytest.param(512, 15.0, 48.0, id="criterion8-n512")],
 )
 def test_remainder_norm_blocked_gram_matches_one_block(monkeypatch, n, L, h):
-    # K K^H summed over four or more column blocks of K, a few Gram columns
+    # K K^H summed over 16 or more column blocks of K, a few Gram columns
     # at a time, moves the norm by roundoff only
     g = Grid(dim=1, n=n, L=L)
     pair = WeightPair(g, _weight_field(1, n, L, h))
-    monkeypatch.setattr(pdo, "_GRAM_BLOCK", n)
+    monkeypatch.setattr(pdo, "_BLOCK", n)
     one = pair.remainder_norm()
-    monkeypatch.setattr(pdo, "_GRAM_BLOCK", n // 4)
     monkeypatch.setattr(pdo, "_BLOCK", 16)
     assert abs(pair.remainder_norm() - one) <= 1e-15 * one
 

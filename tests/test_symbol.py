@@ -111,7 +111,7 @@ def test_cutoff_and_its_slope_bitwise():
 def _lambda1(x, xi, params):
     """lambda1 as _blend builds it: M F(x . omega, |x|^2 - (x . omega)^2)
     on coordinate rows (..., d)."""
-    y, rho_sq, _ = _geometry(np.asarray(x, dtype=np.float64), np.asarray(xi, dtype=np.float64))
+    y, rho_sq = _geometry(np.asarray(x, dtype=np.float64), np.asarray(xi, dtype=np.float64))
     return params.M * _profile_integral(y, rho_sq, params.s)
 
 
@@ -608,9 +608,19 @@ def test_reflection_orbits_partition_the_lattice(d, n, L):
     origin = np.flatnonzero(np.all(X == 0.0, axis=1))
     assert origin.size == 1 and origin[0] in rep
     assert mult[np.searchsorted(rep, origin[0])] == 1
-    if L == 4.0:
-        # j dx is exact: every node off index 0 pairs, x = 0 with itself
-        assert np.count_nonzero(mult == 1) == n**d - (n - 1) ** d + 1
+    # x is odd at every L: every node off index 0 pairs, x = 0 with itself
+    assert np.count_nonzero(mult == 1) == n**d - (n - 1) ** d + 1
+
+
+@pytest.mark.parametrize("L", [3.7, 2.3, 0.1])
+def test_inexact_box_is_odd_and_pairs_every_mirrored_node(L):
+    # j dx is inexact at these L, yet x_(n-j) = -x_j bit for bit, so the
+    # transport check runs on one node per pair: 2112 of 4096 at n=64
+    g = Grid(dim=2, n=64, L=L)
+    assert g.x[0] == -L
+    assert np.array_equal(g.x[-np.arange(1, 64) % 64], -g.x[1:])
+    rep, mult = symbol._reflection_orbits(g)
+    assert rep.size == 2112 and mult.sum() == g.node_count
 
 
 def test_blend_slope_is_even_on_reflection_pairs():
